@@ -4,12 +4,12 @@
 //!
 //! These run at reduced (CIFAR-ish) scale so `cargo bench` stays fast; the
 //! paper-scale numbers come from the analytical model (`figures` bench and
-//! the `src/bin` binaries).
+//! the `all_figures` binary).
 
 use bnff_graph::op::Conv2dAttrs;
 use bnff_kernels::batchnorm::{bn_forward, bn_statistics, BnParams};
-use bnff_kernels::conv::{conv2d_forward_direct, conv2d_forward_im2col};
-use bnff_kernels::fused::{conv2d_forward_with_stats, norm_relu_conv_forward, relu_conv_forward};
+use bnff_kernels::conv::{conv2d_forward, conv2d_forward_direct, conv2d_forward_into};
+use bnff_kernels::fused::{conv2d_forward_with_stats_into, norm_relu_conv_forward_into};
 use bnff_kernels::relu::relu_forward;
 use bnff_tensor::init::Initializer;
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass, channel_stats_welford};
@@ -31,19 +31,26 @@ fn tensors() -> (Tensor, Tensor, Tensor, Conv2dAttrs, Conv2dAttrs, BnParams) {
 }
 
 /// CONV1-(sub-BN1): fused conv+stats vs conv followed by a separate
-/// statistics sweep (the Fusion half of BNFF, forward).
+/// statistics sweep (the Fusion half of BNFF, forward). Both sides write
+/// into a preallocated output through the same convolution, as the
+/// plan-driven executor does.
 fn bench_conv_stats(c: &mut Criterion) {
     let (x, w1, _, attrs1, _, _) = tensors();
+    let mut out = conv2d_forward(&x, &w1, None, &attrs1).unwrap();
     let mut group = c.benchmark_group("fused_conv_stats");
     group.bench_function("unfused_conv_then_stats", |b| {
         b.iter(|| {
-            let out = conv2d_forward_direct(black_box(&x), &w1, None, &attrs1).unwrap();
-            let stats = bn_statistics(&out, false).unwrap();
-            black_box((out, stats))
+            conv2d_forward_into(black_box(&x), &w1, None, &attrs1, &mut out).unwrap();
+            black_box(bn_statistics(&out, false).unwrap())
         })
     });
     group.bench_function("fused_conv_with_stats", |b| {
-        b.iter(|| black_box(conv2d_forward_with_stats(black_box(&x), &w1, None, &attrs1).unwrap()))
+        b.iter(|| {
+            black_box(
+                conv2d_forward_with_stats_into(black_box(&x), &w1, None, &attrs1, &mut out)
+                    .unwrap(),
+            )
+        })
     });
     group.finish();
 }
@@ -51,20 +58,22 @@ fn bench_conv_stats(c: &mut Criterion) {
 /// (sub-BN2)-ReLU-CONV2: fused normalize+clip+conv vs BN → ReLU → CONV.
 fn bench_norm_relu_conv(c: &mut Criterion) {
     let (x, w1, w2, attrs1, attrs2, bn) = tensors();
-    let conv1_out = conv2d_forward_direct(&x, &w1, None, &attrs1).unwrap();
+    let conv1_out = conv2d_forward(&x, &w1, None, &attrs1).unwrap();
     let stats = bn_statistics(&conv1_out, false).unwrap();
+    let mut out = conv2d_forward(&relu_forward(&conv1_out), &w2, None, &attrs2).unwrap();
     let mut group = c.benchmark_group("fused_norm_relu_conv");
     group.bench_function("unfused_bn_relu_conv", |b| {
         b.iter(|| {
             let (y, _) = bn_forward(black_box(&conv1_out), &bn, 1e-5, false).unwrap();
             let r = relu_forward(&y);
-            black_box(conv2d_forward_direct(&r, &w2, None, &attrs2).unwrap())
+            conv2d_forward_into(&r, &w2, None, &attrs2, &mut out).unwrap();
+            black_box(&out);
         })
     });
     group.bench_function("fused_norm_relu_conv", |b| {
         b.iter(|| {
             black_box(
-                norm_relu_conv_forward(
+                norm_relu_conv_forward_into(
                     black_box(&conv1_out),
                     &stats,
                     &bn,
@@ -72,26 +81,11 @@ fn bench_norm_relu_conv(c: &mut Criterion) {
                     &w2,
                     None,
                     &attrs2,
+                    &mut out,
                 )
                 .unwrap(),
             )
         })
-    });
-    group.finish();
-}
-
-/// RCF: fused relu+conv vs ReLU followed by conv.
-fn bench_relu_conv(c: &mut Criterion) {
-    let (x, w1, _, attrs1, _, _) = tensors();
-    let mut group = c.benchmark_group("rcf_relu_conv");
-    group.bench_function("unfused_relu_then_conv", |b| {
-        b.iter(|| {
-            let r = relu_forward(black_box(&x));
-            black_box(conv2d_forward_direct(&r, &w1, None, &attrs1).unwrap())
-        })
-    });
-    group.bench_function("fused_relu_conv", |b| {
-        b.iter(|| black_box(relu_conv_forward(black_box(&x), &w1, None, &attrs1).unwrap()))
     });
     group.finish();
 }
@@ -124,7 +118,7 @@ fn bench_conv_lowering(c: &mut Criterion) {
         b.iter(|| black_box(conv2d_forward_direct(black_box(&x), &w, None, &attrs).unwrap()))
     });
     group.bench_function("im2col_gemm", |b| {
-        b.iter(|| black_box(conv2d_forward_im2col(black_box(&x), &w, None, &attrs).unwrap()))
+        b.iter(|| black_box(conv2d_forward(black_box(&x), &w, None, &attrs).unwrap()))
     });
     group.finish();
 }
@@ -139,6 +133,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_conv_stats, bench_norm_relu_conv, bench_relu_conv, bench_mvf, bench_conv_lowering
+    targets = bench_conv_stats, bench_norm_relu_conv, bench_mvf, bench_conv_lowering
 }
 criterion_main!(benches);

@@ -1,142 +1,286 @@
-//! Runs every experiment driver in sequence — the one-shot reproduction of
-//! the paper's evaluation section. Results are printed as tables and dumped
-//! as JSON to `experiment_results.json` in the working directory.
+//! Regenerates the paper's evaluation section from the analytical model.
+//!
+//! Usage: `cargo run --release --bin all_figures [-- NAME [ARG] | -- [BATCH]]`
+//!
+//! * `all_figures NAME [ARG]` prints one figure's table followed by its rows
+//!   as JSON. NAME is one of `table1`, `fig1`, `fig3`, `fig4`, `fig6`,
+//!   `fig7`, `fig8` or `gpu_cutlass`. ARG is the figure's mini-batch (the
+//!   paper's CPU batch of 120 by default; 28 for `gpu_cutlass`), or for
+//!   `fig6` the scale applied to each architecture's batch (default 1.0).
+//! * `all_figures [BATCH]` prints every figure, running the CPU figures at
+//!   BATCH, and dumps all rows to `experiment_results.json` in the working
+//!   directory.
+//!
+//! A non-numeric ARG or BATCH falls back to the default.
 
 use bnff_bench::{ms, pct, print_table};
 use bnff_core::experiments as exp;
-use serde_json::json;
+use serde_json::{json, Value};
+use std::collections::BTreeMap;
+use std::error::Error;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let batch =
-        std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(exp::PAPER_CPU_BATCH);
+type Printed = Result<Value, Box<dyn Error>>;
 
-    let table1 = exp::table1();
-    print_table(
-        "Table 1",
-        &["architecture", "TFLOPS", "BW (GB/s)"],
-        &table1
-            .iter()
-            .map(|r| {
-                vec![
-                    r.machine.clone(),
-                    format!("{:.2}", r.tflops),
-                    format!("{:.1}", r.bandwidth_gbs),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+/// One figure: its command-line name, its key in `experiment_results.json`,
+/// whether its argument is the CPU mini-batch an all-figures run shares,
+/// and the printer that writes its table and returns its rows as JSON.
+struct Figure {
+    name: &'static str,
+    key: &'static str,
+    cpu_batch: bool,
+    print: fn(Option<&str>) -> Printed,
+}
 
-    let fig1 = exp::figure1(batch)?;
-    print_table(
-        "Figure 1",
-        &["model", "CONV/FC", "non-CONV"],
-        &fig1
-            .iter()
-            .map(|r| vec![r.model.clone(), pct(r.conv_fc_fraction), pct(r.non_conv_fraction)])
-            .collect::<Vec<_>>(),
-    );
+const FIGURES: [Figure; 8] = [
+    Figure { name: "table1", key: "table1", cpu_batch: false, print: table1 },
+    Figure { name: "fig1", key: "figure1", cpu_batch: true, print: fig1 },
+    Figure { name: "fig3", key: "figure3", cpu_batch: true, print: fig3 },
+    Figure { name: "fig4", key: "figure4", cpu_batch: true, print: fig4 },
+    Figure { name: "fig6", key: "figure6", cpu_batch: false, print: fig6 },
+    Figure { name: "fig7", key: "figure7", cpu_batch: true, print: fig7 },
+    Figure { name: "fig8", key: "figure8", cpu_batch: true, print: fig8 },
+    Figure { name: "gpu_cutlass", key: "gpu", cpu_batch: false, print: gpu_cutlass },
+];
 
-    let fig3 = exp::figure3(batch, 64)?;
-    println!(
-        "\n== Figure 3 == non-CONV avg utilization {} vs CONV {} over {} layer executions",
-        pct(fig3.non_conv_avg_utilization),
-        pct(fig3.conv_avg_utilization),
-        fig3.events
-    );
+fn main() -> Result<(), Box<dyn Error>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let first = args.first().map(String::as_str);
+    if let Some(name) = first.filter(|a| a.parse::<f64>().is_err()) {
+        let figure = FIGURES.iter().find(|f| f.name == name).ok_or_else(|| {
+            let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+            format!("unknown figure '{name}'; expected one of: {}", names.join(", "))
+        })?;
+        let rows = (figure.print)(args.get(1).map(String::as_str))?;
+        println!("\n{}", serde_json::to_string_pretty(&rows)?);
+        return Ok(());
+    }
 
-    let fig4 = exp::figure4(batch)?;
-    print_table(
-        "Figure 4",
-        &["layer", "finite", "infinite", "speedup"],
-        &fig4
-            .iter()
-            .map(|r| {
-                vec![
-                    r.layer.clone(),
-                    ms(r.finite_seconds),
-                    ms(r.infinite_seconds),
-                    format!("{:.1}x", r.speedup),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let fig6 = exp::figure6(1.0)?;
-    print_table(
-        "Figure 6",
-        &["architecture", "batch", "CONV/FC", "non-CONV", "per image"],
-        &fig6
-            .iter()
-            .map(|r| {
-                vec![
-                    r.machine.clone(),
-                    r.batch.to_string(),
-                    ms(r.conv_seconds),
-                    ms(r.non_conv_seconds),
-                    ms(r.per_image_seconds),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let fig7 = exp::figure7(batch)?;
-    print_table(
-        "Figure 7",
-        &["model", "scenario", "total", "improv", "fwd", "bwd", "traffic -"],
-        &fig7
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.scenario.clone(),
-                    ms(r.total_seconds),
-                    pct(r.improvement),
-                    pct(r.fwd_improvement),
-                    pct(r.bwd_improvement),
-                    pct(r.traffic_reduction),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let fig8 = exp::figure8(batch)?;
-    print_table(
-        "Figure 8",
-        &["BW (GB/s)", "scenario", "iteration", "BNFF gain"],
-        &fig8
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{:.1}", r.bandwidth_gbs),
-                    r.scenario.clone(),
-                    ms(r.total_seconds),
-                    pct(r.bnff_improvement),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let gpu = exp::gpu_cutlass(28)?;
-    print_table(
-        "Section 5 (GPU)",
-        &["model", "scenario", "improvement"],
-        &gpu.iter()
-            .map(|r| vec![r.model.clone(), r.scenario.clone(), pct(r.improvement)])
-            .collect::<Vec<_>>(),
-    );
-
-    let dump = json!({
-        "batch": batch,
-        "table1": table1,
-        "figure1": fig1,
-        "figure3": fig3,
-        "figure4": fig4,
-        "figure6": fig6,
-        "figure7": fig7,
-        "figure8": fig8,
-        "gpu": gpu,
-    });
+    let mut dump = BTreeMap::new();
+    dump.insert("batch".to_string(), json!(batch_arg(first, exp::PAPER_CPU_BATCH)));
+    for figure in &FIGURES {
+        let rows = (figure.print)(if figure.cpu_batch { first } else { None })?;
+        dump.insert(figure.key.to_string(), rows);
+    }
     std::fs::write("experiment_results.json", serde_json::to_string_pretty(&dump)?)?;
     println!("\nwrote experiment_results.json");
     Ok(())
+}
+
+fn batch_arg(arg: Option<&str>, default: usize) -> usize {
+    arg.and_then(|s| s.parse().ok()).unwrap_or(default)
+}
+
+/// Table 1: peak single-precision performance and peak memory bandwidth of
+/// the evaluated data-parallel architectures.
+fn table1(_: Option<&str>) -> Printed {
+    let rows = exp::table1();
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.machine.clone(),
+                format!("{:.2}", r.tflops),
+                format!("{:.1}", r.bandwidth_gbs),
+                format!("{:.1}", r.flop_per_byte),
+                r.batch.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Table 1 — peak performance and memory bandwidth",
+        &["architecture", "TFLOPS", "BW (GB/s)", "FLOP/B", "mini-batch"],
+        &table,
+    );
+    Ok(json!(rows))
+}
+
+/// Figure 1: execution-time breakdown (CONV/FC vs non-CONV) of AlexNet,
+/// VGG-16, ResNet-50 and DenseNet-121 during training.
+fn fig1(arg: Option<&str>) -> Printed {
+    let batch = batch_arg(arg, exp::PAPER_CPU_BATCH);
+    let rows = exp::figure1(batch)?;
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.model.clone(),
+                pct(r.conv_fc_fraction),
+                pct(r.non_conv_fraction),
+                ms(r.total_seconds),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!("Figure 1 — execution-time breakdown (batch {batch})"),
+        &["model", "CONV/FC", "non-CONV", "iteration"],
+        &table,
+    );
+    Ok(json!(rows))
+}
+
+/// Figure 3: memory-bandwidth utilization of DenseNet-121 layers over one
+/// training iteration.
+fn fig3(arg: Option<&str>) -> Printed {
+    let batch = batch_arg(arg, exp::PAPER_CPU_BATCH);
+    let series = exp::figure3(batch, 96)?;
+    println!("\n== Figure 3 — bandwidth utilization over time (batch {batch}) ==");
+    println!(
+        "peak bandwidth: {:.1} GB/s, layer executions: {}",
+        series.peak_bandwidth_gbs, series.events
+    );
+    println!(
+        "average forward utilization: non-CONV {:.1}% vs CONV {:.1}%",
+        series.non_conv_avg_utilization * 100.0,
+        series.conv_avg_utilization * 100.0
+    );
+    println!("\ntime-bucketed utilization (one row per bucket, 60 cols = 100%):");
+    for (i, u) in series.utilization.iter().enumerate() {
+        let bars = (u * 60.0).round() as usize;
+        println!("{:3} | {}{}", i, "#".repeat(bars), " ".repeat(60usize.saturating_sub(bars)));
+    }
+    Ok(json!(series))
+}
+
+/// Figure 4: BN and ReLU execution time with finite vs infinite
+/// (hypothetical) memory bandwidth on DenseNet-121.
+fn fig4(arg: Option<&str>) -> Printed {
+    let batch = batch_arg(arg, exp::PAPER_CPU_BATCH);
+    let rows = exp::figure4(batch)?;
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.layer.clone(),
+                ms(r.finite_seconds),
+                ms(r.infinite_seconds),
+                format!("{:.1}x", r.speedup),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!("Figure 4 — finite vs infinite memory bandwidth (batch {batch})"),
+        &["layer", "finite BW", "infinite BW", "speedup"],
+        &table,
+    );
+    Ok(json!(rows))
+}
+
+/// Figure 6: CONV/FC vs non-CONV execution time of DenseNet-121 on the GPU,
+/// KNL and Skylake profiles (per iteration and per image).
+fn fig6(arg: Option<&str>) -> Printed {
+    let scale = arg.and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    let rows = exp::figure6(scale)?;
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.machine.clone(),
+                r.batch.to_string(),
+                ms(r.conv_seconds),
+                ms(r.non_conv_seconds),
+                ms(r.total_seconds),
+                ms(r.per_image_seconds),
+            ]
+        })
+        .collect();
+    print_table(
+        "Figure 6 — DenseNet-121 across architectures",
+        &["architecture", "batch", "CONV/FC", "non-CONV", "iteration", "per image"],
+        &table,
+    );
+    Ok(json!(rows))
+}
+
+/// Figure 7: execution time and memory accesses per training iteration for
+/// Baseline / RCF / RCF+MVF / BNFF / BNFF+ICF on DenseNet-121 and ResNet-50
+/// (Skylake profile).
+fn fig7(arg: Option<&str>) -> Printed {
+    let batch = batch_arg(arg, exp::PAPER_CPU_BATCH);
+    let rows = exp::figure7(batch)?;
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.model.clone(),
+                r.scenario.clone(),
+                ms(r.fwd_seconds),
+                ms(r.bwd_seconds),
+                ms(r.total_seconds),
+                format!("{:.1} GB", r.dram_gb),
+                pct(r.improvement),
+                pct(r.fwd_improvement),
+                pct(r.bwd_improvement),
+                pct(r.traffic_reduction),
+                format!("{:.2} GB", r.planned_peak_gb),
+                format!("{:.2} GB", r.naive_activation_gb),
+                pct(r.planner_reduction),
+                format!("{:.1} GB", r.gemm_blocked_gb),
+                pct(r.gemm_locality_reduction),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!("Figure 7 — scenario sweep (batch {batch})"),
+        &[
+            "model",
+            "scenario",
+            "fwd",
+            "bwd",
+            "total",
+            "DRAM",
+            "improv",
+            "fwd improv",
+            "bwd improv",
+            "traffic -",
+            "plan peak",
+            "naive act",
+            "plan -",
+            "gemm DRAM",
+            "gemm loc -",
+        ],
+        &table,
+    );
+    Ok(json!(rows))
+}
+
+/// Figure 8: baseline vs BNFF at full (230.4 GB/s) and halved
+/// (115.2 GB/s) memory bandwidth on DenseNet-121.
+fn fig8(arg: Option<&str>) -> Printed {
+    let batch = batch_arg(arg, exp::PAPER_CPU_BATCH);
+    let rows = exp::figure8(batch)?;
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                format!("{:.1}", r.bandwidth_gbs),
+                r.scenario.clone(),
+                ms(r.total_seconds),
+                pct(r.non_conv_fraction),
+                pct(r.bnff_improvement),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!("Figure 8 — bandwidth sensitivity (batch {batch})"),
+        &["BW (GB/s)", "scenario", "iteration", "non-CONV share", "BNFF gain"],
+        &table,
+    );
+    Ok(json!(rows))
+}
+
+/// Section 5 GPU evaluation: scenario improvements on a Pascal Titan X
+/// profile (CUTLASS-style baseline).
+fn gpu_cutlass(arg: Option<&str>) -> Printed {
+    let batch = batch_arg(arg, 28);
+    let rows = exp::gpu_cutlass(batch)?;
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| vec![r.model.clone(), r.scenario.clone(), pct(r.improvement)])
+        .collect();
+    print_table(
+        &format!("Section 5 (GPU) — scenario improvements (batch {batch})"),
+        &["model", "scenario", "improvement"],
+        &table,
+    );
+    Ok(json!(rows))
 }

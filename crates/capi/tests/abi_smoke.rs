@@ -115,6 +115,14 @@ fn full_lifecycle_over_the_c_abi() {
     };
     assert_eq!(code, BNFF_ERR_INVALID);
     assert!(last_error().contains("expects 108"));
+    // Right length, but a NaN in the sample: invalid argument.
+    let mut poisoned = sample.as_slice().to_vec();
+    poisoned[5] = f32::NAN;
+    let code = unsafe {
+        bnff_infer(engine, poisoned.as_ptr(), sample_len, scores.as_mut_ptr(), 3, &mut written)
+    };
+    assert_eq!(code, BNFF_ERR_INVALID);
+    assert!(last_error().contains("non-finite"));
 
     // Traced inference: same scores, plus span timings in the out-struct.
     let mut trace = BnffTrace::default();

@@ -47,7 +47,8 @@ fn check_conv(
     Ok((in_c, out_h, out_w))
 }
 
-/// Direct (loop-nest) convolution forward pass.
+/// Direct (loop-nest) convolution forward pass — the reference the lowered
+/// GEMM paths are tested against.
 ///
 /// Weight layout is `(Cout, Cin, Kh, Kw)`; an optional per-output-channel
 /// bias of length `Cout` may be provided.
@@ -60,46 +61,11 @@ pub fn conv2d_forward_direct(
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
 ) -> Result<Tensor> {
-    let (_, out_h, out_w) = check_conv(input, weights, attrs)?;
-    let mut out = Tensor::zeros(Shape::nchw(input.shape().n(), attrs.out_channels, out_h, out_w));
-    conv2d_forward_direct_into(input, weights, bias, attrs, &mut out)?;
-    Ok(out)
-}
-
-/// [`conv2d_forward_direct`] into a caller-provided output tensor, so a
-/// plan-driven executor can hand the convolution a recycled buffer instead
-/// of allocating a fresh feature map per node per step. Every element of
-/// `out` is overwritten.
-///
-/// # Errors
-/// Returns an error if the shapes (including `out`'s) are inconsistent.
-pub fn conv2d_forward_direct_into(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-    out: &mut Tensor,
-) -> Result<()> {
     let (in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
-    if let Some(b) = bias {
-        if b.len() != attrs.out_channels {
-            return Err(KernelError::ShapeMismatch(format!(
-                "bias has {} entries, expected {}",
-                b.len(),
-                attrs.out_channels
-            )));
-        }
-    }
+    check_bias(bias, attrs)?;
     let n = input.shape().n();
     let (h, w) = (input.shape().h(), input.shape().w());
-    let expected = Shape::nchw(n, attrs.out_channels, out_h, out_w);
-    if out.shape() != &expected {
-        return Err(KernelError::ShapeMismatch(format!(
-            "output tensor is {}, convolution produces {}",
-            out.shape(),
-            expected
-        )));
-    }
+    let mut out = Tensor::zeros(Shape::nchw(n, attrs.out_channels, out_h, out_w));
     // One task per `(sample, out_channel)` output plane; every plane is a
     // disjoint contiguous run of the NCHW output buffer.
     let plane_len = out_h * out_w;
@@ -136,22 +102,7 @@ pub fn conv2d_forward_direct_into(
             }
         }
     });
-    Ok(())
-}
-
-/// im2col + GEMM convolution forward pass (the layout the paper's reference
-/// libraries use). Alias of [`conv2d_forward`], kept under the name that
-/// says *how* the lowering works.
-///
-/// # Errors
-/// Returns an error if the shapes are inconsistent.
-pub fn conv2d_forward_im2col(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-) -> Result<Tensor> {
-    conv2d_forward(input, weights, bias, attrs)
+    Ok(out)
 }
 
 /// The production convolution forward pass: im2col lowering into the
@@ -525,7 +476,7 @@ mod tests {
         let x = random(Shape::nchw(2, 4, 9, 9), 1);
         let w = random(Shape::nchw(5, 4, 3, 3), 2);
         let direct = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
-        let lowered = conv2d_forward_im2col(&x, &w, None, &attrs).unwrap();
+        let lowered = conv2d_forward(&x, &w, None, &attrs).unwrap();
         assert!(direct.all_close(&lowered, 1e-4).unwrap());
     }
 
@@ -580,7 +531,7 @@ mod tests {
         let y = conv2d_forward_direct(&x, &w, Some(&bias), &attrs).unwrap();
         assert_eq!(y.channel_plane(0, 0), &[11.0; 4]);
         assert_eq!(y.channel_plane(0, 1), &[-3.0; 4]);
-        let y2 = conv2d_forward_im2col(&x, &w, Some(&bias), &attrs).unwrap();
+        let y2 = conv2d_forward(&x, &w, Some(&bias), &attrs).unwrap();
         assert!(y.all_close(&y2, 1e-6).unwrap());
     }
 
@@ -591,7 +542,7 @@ mod tests {
         let w = Tensor::zeros(Shape::nchw(4, 3, 5, 5));
         assert!(conv2d_forward_direct(&x, &w, None, &attrs).is_err());
         let w = Tensor::zeros(Shape::nchw(4, 2, 3, 3));
-        assert!(conv2d_forward_im2col(&x, &w, None, &attrs).is_err());
+        assert!(conv2d_forward(&x, &w, None, &attrs).is_err());
     }
 
     /// Numerical gradient check for the convolution backward passes.
@@ -649,14 +600,14 @@ mod tests {
         let attrs = Conv2dAttrs::same_3x3(4);
         let x = random(Shape::nchw(2, 3, 6, 6), 21);
         let w = random(Shape::nchw(4, 3, 3, 3), 22);
-        let reference = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
+        let reference = conv2d_forward(&x, &w, None, &attrs).unwrap();
         // A dirty buffer of the right shape must give bit-identical results.
         let mut out = Tensor::filled(Shape::nchw(2, 4, 6, 6), f32::NAN);
-        conv2d_forward_direct_into(&x, &w, None, &attrs, &mut out).unwrap();
+        conv2d_forward_into(&x, &w, None, &attrs, &mut out).unwrap();
         assert_eq!(out.as_slice(), reference.as_slice());
         // A wrong-shaped output tensor is rejected.
         let mut bad = Tensor::zeros(Shape::nchw(2, 4, 5, 5));
-        assert!(conv2d_forward_direct_into(&x, &w, None, &attrs, &mut bad).is_err());
+        assert!(conv2d_forward_into(&x, &w, None, &attrs, &mut bad).is_err());
     }
 
     #[test]
@@ -674,7 +625,7 @@ mod tests {
         let attrs = Conv2dAttrs::new(8, 7, 2, 3);
         let x = random(Shape::nchw(1, 3, 32, 32), 7);
         let w = random(Shape::nchw(8, 3, 7, 7), 8);
-        let y = conv2d_forward_im2col(&x, &w, None, &attrs).unwrap();
+        let y = conv2d_forward(&x, &w, None, &attrs).unwrap();
         assert_eq!(y.shape(), &Shape::nchw(1, 8, 16, 16));
     }
 }

@@ -1,24 +1,24 @@
-//! Fused kernels introduced by BN Fission-n-Fusion.
+//! Fused kernels introduced by BN Fission-n-Fusion. Each writes into a
+//! caller-provided output tensor, the form the plan-driven training
+//! executor drives.
 //!
-//! * [`conv2d_forward_with_stats`] — the `CONV1-(sub-BN1)` fused layer: the
-//!   convolution accumulates Σx and Σx² of every output value it produces,
-//!   so the following BN's mean/variance are available without re-reading
-//!   the output feature map.
-//! * [`norm_relu_conv_forward`] — the `(sub-BN2)-ReLU-CONV2` fused layer:
-//!   normalization and clipping happen while the following convolution
-//!   reads its input feature map. The normalized activation is also
-//!   returned (the paper's `O2'` write) because the backward pass needs it.
-//! * [`relu_conv_forward`] — the RCF fused layer: clipping while reading.
-//! * [`concat_forward_with_stats`] — the ICF fused layer: Σx/Σx² accumulated
-//!   while the concatenation writes its output.
+//! * [`conv2d_forward_with_stats_into`] — the `CONV1-(sub-BN1)` fused
+//!   layer: the convolution accumulates Σx and Σx² of every output value it
+//!   produces, so the following BN's mean/variance are available without
+//!   re-reading the output feature map.
+//! * [`norm_relu_conv_forward_into`] — the `(sub-BN2)-ReLU-CONV2` fused
+//!   layer: normalization and clipping happen while the following
+//!   convolution reads its input feature map. The normalized activation is
+//!   also returned (the paper's `O2'` write) because the backward pass
+//!   needs it.
+//! * [`concat_forward_with_stats_into`] — the ICF fused layer: Σx/Σx²
+//!   accumulated while the concatenation writes its output.
 //! * [`norm_relu_conv_backward`] — the fused backward path, composed of the
 //!   same arithmetic as the unfused layers (the memory benefit is modelled
 //!   by `bnff-memsim`; numerically the result must be identical).
 
 use crate::batchnorm::{min_planes_per_thread, BnParamGrads, BnParams};
-use crate::conv::{
-    conv2d_backward_input, conv2d_backward_weights, conv2d_forward, conv2d_forward_into,
-};
+use crate::conv::{conv2d_backward_input, conv2d_backward_weights, conv2d_forward_into};
 use crate::error::KernelError;
 use crate::relu::relu_backward;
 use crate::vecops;
@@ -26,31 +26,12 @@ use crate::Result;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_parallel::parallel_rows_mut2;
 use bnff_tensor::stats::{ChannelAccumulator, ChannelStats};
-use bnff_tensor::{active_isa, Shape, Tensor};
+use bnff_tensor::{active_isa, Tensor};
 
-/// Convolution that also accumulates per-channel Σx / Σx² of its output
-/// (the paper's `CONV1-(sub-BN1)` fused layer). Returns the output feature
-/// map and the finalized mini-batch statistics.
-///
-/// # Errors
-/// Returns an error if the shapes are inconsistent.
-pub fn conv2d_forward_with_stats(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-) -> Result<(Tensor, ChannelStats)> {
-    let out = conv2d_forward(input, weights, bias, attrs)?;
-    // The accumulation rides along the output write: every value written is
-    // pushed into its channel's accumulator (here expressed as a per-plane
-    // pass over the freshly produced output, which stays cache-resident;
-    // the per-channel partials reduce across worker threads).
-    let stats = ChannelAccumulator::from_tensor(&out)?.finalize()?;
-    Ok((out, stats))
-}
-
-/// [`conv2d_forward_with_stats`] into a caller-provided output tensor.
-/// Every element of `out` is overwritten.
+/// Convolution into a caller-provided output tensor that also accumulates
+/// per-channel Σx / Σx² of its output (the paper's `CONV1-(sub-BN1)` fused
+/// layer), returning the finalized mini-batch statistics. Every element of
+/// `out` is overwritten.
 ///
 /// # Errors
 /// Returns an error if the shapes (including `out`'s) are inconsistent.
@@ -62,21 +43,10 @@ pub fn conv2d_forward_with_stats_into(
     out: &mut Tensor,
 ) -> Result<ChannelStats> {
     conv2d_forward_into(input, weights, bias, attrs, out)?;
+    // The accumulation rides along the output write: a per-plane pass over
+    // the freshly produced (still cache-resident) output, whose per-channel
+    // partials reduce across worker threads.
     Ok(ChannelAccumulator::from_tensor(out)?.finalize()?)
-}
-
-/// ReLU applied while reading the ifmaps of a convolution (RCF).
-///
-/// # Errors
-/// Returns an error if the shapes are inconsistent.
-pub fn relu_conv_forward(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-) -> Result<Tensor> {
-    let clipped = crate::relu::relu_forward(input);
-    conv2d_forward(&clipped, weights, bias, attrs)
 }
 
 /// Everything the fused `(sub-BN2)-ReLU-CONV2` backward pass needs from the
@@ -93,28 +63,10 @@ pub struct NormReluConvState {
 }
 
 /// The `(sub-BN2)-ReLU-CONV2` fused forward pass: normalize the raw
-/// activations with the provided mini-batch statistics, clip, and convolve.
-///
-/// # Errors
-/// Returns an error if the shapes are inconsistent.
-pub fn norm_relu_conv_forward(
-    raw: &Tensor,
-    stats: &ChannelStats,
-    bn: &BnParams,
-    epsilon: f32,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-) -> Result<(Tensor, NormReluConvState)> {
-    let mut out = Tensor::zeros(fused_conv_output_shape(raw.shape(), attrs)?);
-    let state =
-        norm_relu_conv_forward_into(raw, stats, bn, epsilon, weights, bias, attrs, &mut out)?;
-    Ok((out, state))
-}
-
-/// [`norm_relu_conv_forward`] into a caller-provided output tensor. Every
-/// element of `out` is overwritten; the returned state owns the (freshly
-/// allocated) `x̂` and clipped activations the backward pass retains.
+/// activations with the provided mini-batch statistics, clip, and convolve
+/// into a caller-provided output tensor. Every element of `out` is
+/// overwritten; the returned state owns the (freshly allocated) `x̂` and
+/// clipped activations the backward pass retains.
 ///
 /// # Errors
 /// Returns an error if the shapes (including `out`'s) are inconsistent.
@@ -226,19 +178,9 @@ pub fn norm_relu_conv_backward(
     Ok(NormReluConvGrads { d_raw, d_weights, d_bias, d_bn })
 }
 
-/// Channel concatenation that also accumulates Σx / Σx² of its output (the
-/// ICF fused layer). Returns the concatenated tensor and its statistics.
-///
-/// # Errors
-/// Returns an error if the inputs are incompatible.
-pub fn concat_forward_with_stats(inputs: &[&Tensor]) -> Result<(Tensor, ChannelStats)> {
-    let out = crate::concat::concat_forward(inputs)?;
-    let stats = ChannelAccumulator::from_tensor(&out)?.finalize()?;
-    Ok((out, stats))
-}
-
-/// [`concat_forward_with_stats`] into a caller-provided output tensor.
-/// Every element of `out` is overwritten.
+/// Channel concatenation into a caller-provided output tensor that also
+/// accumulates Σx / Σx² of its output (the ICF fused layer), returning the
+/// finalized statistics. Every element of `out` is overwritten.
 ///
 /// # Errors
 /// Returns an error if the inputs (or `out`'s shape) are incompatible.
@@ -250,24 +192,14 @@ pub fn concat_forward_with_stats_into(
     Ok(ChannelAccumulator::from_tensor(out)?.finalize()?)
 }
 
-/// Convenience: the shape of the output produced by a fused convolution with
-/// the given input shape.
-///
-/// # Errors
-/// Returns an error if the window does not fit the input.
-pub fn fused_conv_output_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<Shape> {
-    input.expect_nchw()?;
-    let ho = crate::im2col::conv_out_dim(input.h(), attrs.kernel_h, attrs.stride, attrs.pad)?;
-    let wo = crate::im2col::conv_out_dim(input.w(), attrs.kernel_w, attrs.stride, attrs.pad)?;
-    Ok(Shape::nchw(input.n(), attrs.out_channels, ho, wo))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batchnorm::{bn_forward, bn_statistics};
+    use crate::conv::conv2d_forward;
     use crate::relu::relu_forward;
     use bnff_tensor::init::Initializer;
+    use bnff_tensor::Shape;
 
     fn random(shape: Shape, seed: u64) -> Tensor {
         Initializer::seeded(seed).uniform(shape, -1.0, 1.0)
@@ -278,21 +210,13 @@ mod tests {
         let attrs = Conv2dAttrs::same_3x3(6);
         let x = random(Shape::nchw(3, 4, 8, 8), 1);
         let w = random(Shape::nchw(6, 4, 3, 3), 2);
-        let (fused_out, fused_stats) = conv2d_forward_with_stats(&x, &w, None, &attrs).unwrap();
         let plain_out = conv2d_forward(&x, &w, None, &attrs).unwrap();
+        let mut fused_out = Tensor::zeros(plain_out.shape().clone());
+        let fused_stats =
+            conv2d_forward_with_stats_into(&x, &w, None, &attrs, &mut fused_out).unwrap();
         assert!(fused_out.all_close(&plain_out, 1e-6).unwrap());
         let separate_stats = bn_statistics(&plain_out, false).unwrap();
         assert!(fused_stats.max_abs_diff(&separate_stats).unwrap() < 1e-4);
-    }
-
-    #[test]
-    fn relu_conv_matches_relu_then_conv() {
-        let attrs = Conv2dAttrs::pointwise(5);
-        let x = random(Shape::nchw(2, 3, 6, 6), 3);
-        let w = random(Shape::nchw(5, 3, 1, 1), 4);
-        let fused = relu_conv_forward(&x, &w, None, &attrs).unwrap();
-        let unfused = conv2d_forward(&relu_forward(&x), &w, None, &attrs).unwrap();
-        assert!(fused.all_close(&unfused, 1e-6).unwrap());
     }
 
     #[test]
@@ -303,14 +227,16 @@ mod tests {
         let bn = BnParams::new(vec![1.2, 0.8, 1.0], vec![0.1, -0.1, 0.0]).unwrap();
         let eps = 1e-5;
 
-        let stats = bn_statistics(&raw, false).unwrap();
-        let (fused_out, state) =
-            norm_relu_conv_forward(&raw, &stats, &bn, eps, &w, None, &attrs).unwrap();
-
         // Unfused: BN forward -> ReLU -> conv.
         let (bn_out, bn_state) = bn_forward(&raw, &bn, eps, false).unwrap();
         let relu_out = relu_forward(&bn_out);
         let unfused_out = conv2d_forward(&relu_out, &w, None, &attrs).unwrap();
+
+        let stats = bn_statistics(&raw, false).unwrap();
+        let mut fused_out = Tensor::zeros(unfused_out.shape().clone());
+        let state =
+            norm_relu_conv_forward_into(&raw, &stats, &bn, eps, &w, None, &attrs, &mut fused_out)
+                .unwrap();
 
         assert!(fused_out.all_close(&unfused_out, 1e-4).unwrap());
         assert!(state.x_hat.all_close(&bn_state.x_hat, 1e-4).unwrap());
@@ -325,8 +251,9 @@ mod tests {
         let bn = BnParams::new(vec![1.1, 0.9], vec![0.05, -0.05]).unwrap();
         let eps = 1e-5;
         let stats = bn_statistics(&raw, false).unwrap();
-        let (out, state) =
-            norm_relu_conv_forward(&raw, &stats, &bn, eps, &w, None, &attrs).unwrap();
+        let mut out = Tensor::zeros(Shape::nchw(2, 3, 4, 4));
+        let state = norm_relu_conv_forward_into(&raw, &stats, &bn, eps, &w, None, &attrs, &mut out)
+            .unwrap();
         let d_out = random(out.shape().clone(), 9);
 
         let fused = norm_relu_conv_backward(&d_out, &state, &bn, eps, &w, &attrs, false).unwrap();
@@ -350,35 +277,45 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating_paths() {
+        // Each fused kernel writes a NaN-filled recycled buffer completely,
+        // bit for bit equal to the allocating unfused kernels it composes.
         let attrs = Conv2dAttrs::same_3x3(4);
         let x = random(Shape::nchw(2, 3, 6, 6), 31);
         let w = random(Shape::nchw(4, 3, 3, 3), 32);
-        let (out_ref, stats_ref) = conv2d_forward_with_stats(&x, &w, None, &attrs).unwrap();
-        let mut out = Tensor::filled(out_ref.shape().clone(), f32::NAN);
+        let plain = conv2d_forward(&x, &w, None, &attrs).unwrap();
+        let plain_stats = ChannelAccumulator::from_tensor(&plain).unwrap().finalize().unwrap();
+        let mut out = Tensor::filled(plain.shape().clone(), f32::NAN);
         let stats = conv2d_forward_with_stats_into(&x, &w, None, &attrs, &mut out).unwrap();
-        assert_eq!(out.as_slice(), out_ref.as_slice());
-        assert_eq!(stats.mean, stats_ref.mean);
-        assert_eq!(stats.var, stats_ref.var);
+        assert_eq!(out.as_slice(), plain.as_slice());
+        assert_eq!(stats.mean, plain_stats.mean);
+        assert_eq!(stats.var, plain_stats.var);
 
         let bn = BnParams::identity(3);
         let in_stats = bn_statistics(&x, false).unwrap();
-        let (nrc_ref, state_ref) =
-            norm_relu_conv_forward(&x, &in_stats, &bn, 1e-5, &w, None, &attrs).unwrap();
-        let mut nrc = Tensor::filled(nrc_ref.shape().clone(), f32::NAN);
+        let mut nrc = Tensor::filled(plain.shape().clone(), f32::NAN);
         let state =
             norm_relu_conv_forward_into(&x, &in_stats, &bn, 1e-5, &w, None, &attrs, &mut nrc)
                 .unwrap();
+        let nrc_ref = conv2d_forward(&state.conv_input, &w, None, &attrs).unwrap();
         assert_eq!(nrc.as_slice(), nrc_ref.as_slice());
-        assert_eq!(state.x_hat.as_slice(), state_ref.x_hat.as_slice());
-        assert_eq!(state.conv_input.as_slice(), state_ref.conv_input.as_slice());
+        assert_eq!(state.conv_input.as_slice(), relu_forward(&state.conv_input).as_slice());
+
+        let cat_ref = crate::concat::concat_forward(&[&x, &plain]).unwrap();
+        let cat_stats_ref = ChannelAccumulator::from_tensor(&cat_ref).unwrap().finalize().unwrap();
+        let mut cat = Tensor::filled(cat_ref.shape().clone(), f32::NAN);
+        let cat_stats = concat_forward_with_stats_into(&[&x, &plain], &mut cat).unwrap();
+        assert_eq!(cat.as_slice(), cat_ref.as_slice());
+        assert_eq!(cat_stats.mean, cat_stats_ref.mean);
+        assert_eq!(cat_stats.var, cat_stats_ref.var);
     }
 
     #[test]
     fn concat_with_stats_matches_separate() {
         let a = random(Shape::nchw(2, 2, 4, 4), 10);
         let b = random(Shape::nchw(2, 3, 4, 4), 11);
-        let (out, stats) = concat_forward_with_stats(&[&a, &b]).unwrap();
         let plain = crate::concat::concat_forward(&[&a, &b]).unwrap();
+        let mut out = Tensor::zeros(plain.shape().clone());
+        let stats = concat_forward_with_stats_into(&[&a, &b], &mut out).unwrap();
         assert!(out.all_close(&plain, 1e-6).unwrap());
         let reference = bn_statistics(&plain, false).unwrap();
         assert!(stats.max_abs_diff(&reference).unwrap() < 1e-4);
@@ -391,14 +328,8 @@ mod tests {
         let w = random(Shape::nchw(2, 3, 1, 1), 13);
         let bn = BnParams::identity(4); // wrong channel count
         let stats = bn_statistics(&raw, false).unwrap();
-        assert!(norm_relu_conv_forward(&raw, &stats, &bn, 1e-5, &w, None, &attrs).is_err());
-    }
-
-    #[test]
-    fn fused_conv_output_shape_matches_conv() {
-        let attrs = Conv2dAttrs::new(16, 3, 2, 1);
-        let shape = fused_conv_output_shape(&Shape::nchw(4, 8, 17, 17), &attrs).unwrap();
-        assert_eq!(shape, Shape::nchw(4, 16, 9, 9));
-        assert!(fused_conv_output_shape(&Shape::matrix(2, 2), &attrs).is_err());
+        let mut out = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
+        assert!(norm_relu_conv_forward_into(&raw, &stats, &bn, 1e-5, &w, None, &attrs, &mut out)
+            .is_err());
     }
 }

@@ -9,9 +9,10 @@
 //!   sum.
 //! * **Fused (restructured)** kernels corresponding to the operators the BN
 //!   Fission-n-Fusion passes introduce: a convolution that accumulates
-//!   Σx/Σx² of its output while writing it ([`fused::conv2d_forward_with_stats`]),
-//!   and a convolution that normalizes + clips its input while reading it
-//!   ([`fused::norm_relu_conv_forward`]).
+//!   Σx/Σx² of its output while writing it
+//!   ([`fused::conv2d_forward_with_stats_into`]), and a convolution that
+//!   normalizes + clips its input while reading it
+//!   ([`fused::norm_relu_conv_forward_into`]).
 //!
 //! The fused kernels compute *bit-for-bit comparable* results to the
 //! composition of their unfused counterparts (up to floating-point
@@ -33,7 +34,7 @@
 //! ```rust
 //! use bnff_graph::op::Conv2dAttrs;
 //! use bnff_kernels::conv::conv2d_forward_direct;
-//! use bnff_kernels::fused::conv2d_forward_with_stats;
+//! use bnff_kernels::fused::conv2d_forward_with_stats_into;
 //! use bnff_tensor::{Shape, Tensor};
 //!
 //! # fn main() -> Result<(), bnff_kernels::KernelError> {
@@ -41,7 +42,8 @@
 //! let x = Tensor::ones(Shape::nchw(1, 3, 4, 4));
 //! let w = Tensor::ones(Shape::nchw(2, 3, 1, 1));
 //! let plain = conv2d_forward_direct(&x, &w, None, &attrs)?;
-//! let (fused, stats) = conv2d_forward_with_stats(&x, &w, None, &attrs)?;
+//! let mut fused = Tensor::zeros(plain.shape().clone());
+//! let stats = conv2d_forward_with_stats_into(&x, &w, None, &attrs, &mut fused)?;
 //! assert_eq!(plain.as_slice(), fused.as_slice());
 //! assert!((stats.mean[0] - 3.0).abs() < 1e-6); // all-ones 1x1 conv over 3 channels
 //! # Ok(())

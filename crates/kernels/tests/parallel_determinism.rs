@@ -10,10 +10,10 @@
 use bnff_graph::op::{Conv2dAttrs, PoolAttrs};
 use bnff_kernels::batchnorm::{bn_backward, bn_forward, BnParams};
 use bnff_kernels::conv::{
-    conv2d_backward_input, conv2d_backward_weights, conv2d_forward_direct, conv2d_forward_im2col,
+    conv2d_backward_input, conv2d_backward_weights, conv2d_forward, conv2d_forward_direct,
 };
 use bnff_kernels::eltwise::eltwise_sum_forward;
-use bnff_kernels::fused::{conv2d_forward_with_stats, norm_relu_conv_forward};
+use bnff_kernels::fused::{conv2d_forward_with_stats_into, norm_relu_conv_forward_into};
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn};
 use bnff_kernels::pool::{avg_pool_forward, max_pool_backward, max_pool_forward};
 use bnff_kernels::relu::{relu_backward, relu_forward};
@@ -63,6 +63,18 @@ where
     assert_close(label, THREADS[0], &reference, &default_grain);
 }
 
+/// The fused conv-with-statistics kernel on a same-padded 3×3 convolution,
+/// flattened as output then per-channel mean and variance.
+fn conv_with_stats(x: &Tensor, w: &Tensor, attrs: &Conv2dAttrs) -> Vec<f32> {
+    let s = x.shape();
+    let mut out = Tensor::zeros(Shape::nchw(s.n(), attrs.out_channels, s.h(), s.w()));
+    let stats = conv2d_forward_with_stats_into(x, w, None, attrs, &mut out).unwrap();
+    let mut flat = out.into_vec();
+    flat.extend(stats.mean);
+    flat.extend(stats.var);
+    flat
+}
+
 #[test]
 fn gemm_matches_serial_across_odd_sizes() {
     // (m, n, k): single element, non-divisible row counts, sizes straddling
@@ -106,7 +118,7 @@ fn conv_forward_and_backward_match_serial() {
             conv2d_forward_direct(&x, &w, None, &attrs).unwrap().into_vec()
         });
         check(&format!("conv_im2col n={n} ic={ic} oc={oc} hw={hw}"), || {
-            conv2d_forward_im2col(&x, &w, None, &attrs).unwrap().into_vec()
+            conv2d_forward(&x, &w, None, &attrs).unwrap().into_vec()
         });
         let y = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
         let d_out = random(y.shape().clone(), seed + 200);
@@ -207,17 +219,13 @@ fn fused_kernels_match_serial() {
     let attrs = Conv2dAttrs::same_3x3(6);
     let x = random(Shape::nchw(3, 4, 7, 7), 17);
     let w = random(Shape::nchw(6, 4, 3, 3), 18);
-    check("conv_with_stats", || {
-        let (out, stats) = conv2d_forward_with_stats(&x, &w, None, &attrs).unwrap();
-        let mut flat = out.into_vec();
-        flat.extend(stats.mean);
-        flat.extend(stats.var);
-        flat
-    });
+    check("conv_with_stats", || conv_with_stats(&x, &w, &attrs));
     let bn = BnParams::new(vec![1.2, 0.8, 1.0, 0.9], vec![0.1, -0.1, 0.0, 0.2]).unwrap();
     check("norm_relu_conv", || {
         let stats = channel_stats_one_pass(&x).unwrap();
-        let (out, state) = norm_relu_conv_forward(&x, &stats, &bn, 1e-5, &w, None, &attrs).unwrap();
+        let mut out = Tensor::zeros(Shape::nchw(3, 6, 7, 7));
+        let state =
+            norm_relu_conv_forward_into(&x, &stats, &bn, 1e-5, &w, None, &attrs, &mut out).unwrap();
         let mut flat = out.into_vec();
         flat.extend(state.x_hat.into_vec());
         flat
@@ -267,13 +275,7 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
         }),
         ("relu", &|| relu_forward(&x).into_vec()),
         ("eltwise_sum", &|| eltwise_sum_forward(&[&x, &b]).unwrap().into_vec()),
-        ("conv_with_stats", &|| {
-            let (out, stats) = conv2d_forward_with_stats(&x, &w, None, &attrs).unwrap();
-            let mut flat = out.into_vec();
-            flat.extend(stats.mean);
-            flat.extend(stats.var);
-            flat
-        }),
+        ("conv_with_stats", &|| conv_with_stats(&x, &w, &attrs)),
     ];
     for &isa in &isas {
         for (label, f) in cases {

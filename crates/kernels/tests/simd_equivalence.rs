@@ -20,7 +20,7 @@ use bnff_kernels::batchnorm::{bn_forward, BnParams};
 use bnff_kernels::conv::conv2d_forward_relu_into;
 use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
 use bnff_kernels::eltwise::eltwise_sum_forward;
-use bnff_kernels::fused::norm_relu_conv_forward;
+use bnff_kernels::fused::norm_relu_conv_forward_into;
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn, KC, MC, MR, NR};
 use bnff_kernels::relu::relu_forward;
 use bnff_kernels::{affine, fc};
@@ -213,8 +213,10 @@ fn bn_affine_and_fused_paths_agree() {
 
     let (s, v) = both_paths(|| {
         let stats = channel_stats_one_pass(&x).unwrap();
-        let (out, state) =
-            norm_relu_conv_forward(&x, &stats, &params, 1e-5, &w, None, &attrs).unwrap();
+        let mut out = Tensor::zeros(Shape::nchw(3, 6, 5, 5));
+        let state =
+            norm_relu_conv_forward_into(&x, &stats, &params, 1e-5, &w, None, &attrs, &mut out)
+                .unwrap();
         let mut flat = out.into_vec();
         flat.extend(state.x_hat.into_vec());
         flat.extend(state.conv_input.into_vec());

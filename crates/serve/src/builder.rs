@@ -1,12 +1,10 @@
 //! Fluent construction of a [`ServeEngine`]: one entry point for every
 //! model source and every batching knob.
 //!
-//! Before the builder, starting an engine meant choosing among three
-//! constructors (`FrozenModel::from_executor`, `from_checkpoint`, or
-//! `from_parts`) and hand-assembling a [`BatchingConfig`] literal. The
-//! builder collapses that into a single pipeline — *source → knobs →
-//! start* — and adds the file path source that sniffs the model format
-//! (binary artifact vs. JSON checkpoint) from the magic bytes:
+//! Starting an engine is a single pipeline — *source → knobs → start* —
+//! instead of a hand-assembled [`BatchingConfig`] literal. The file path
+//! source sniffs the model format (binary artifact vs. JSON checkpoint)
+//! from the magic bytes:
 //!
 //! ```rust,no_run
 //! use bnff_serve::ServeEngine;

@@ -254,15 +254,6 @@ impl ServeEngine {
         crate::builder::ServeEngineBuilder::new()
     }
 
-    /// Starts an engine over a frozen model and explicit configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ServeEngine::builder()` — pick a model source, set knobs, `.start()`"
-    )]
-    pub fn start(model: FrozenModel, config: BatchingConfig) -> Result<Self> {
-        Self::start_inner(model, config)
-    }
-
     /// Starts an engine over a frozen model: one bounded shard queue per
     /// worker, each worker's kernel fan-out pinned to a disjoint slice of
     /// the kernel-thread budget.
@@ -322,7 +313,7 @@ impl ServeEngine {
     /// (the request is shed at admission and owns no channel),
     /// [`ServeError::ShuttingDown`] after [`ServeEngine::shutdown`], and an
     /// invalid-argument error when the sample shape disagrees with the
-    /// model.
+    /// model or the sample holds a NaN or an infinity.
     pub fn submit(&self, sample: Tensor) -> Result<mpsc::Receiver<Result<Completion>>> {
         self.submit_traced(sample, next_request_id(), false)
     }
@@ -355,6 +346,9 @@ impl ServeEngine {
             }
             sample
         };
+        if sample.as_slice().iter().any(|v| !v.is_finite()) {
+            return Err(ServeError::InvalidArgument("sample contains a non-finite value".into()));
+        }
         let trace = force_trace || self.shared.sampler.sample();
         let (tx, rx) = mpsc::channel();
         let shards = &self.shared.shards;

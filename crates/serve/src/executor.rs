@@ -1,9 +1,9 @@
 //! The forward-only frozen-graph executor.
 //!
-//! Serving requests used to walk the graph: match on every node's `OpKind`,
-//! look parameters up in a hash map, resolve Split aliases and query the
-//! memory plan's liveness tables — all request-invariant work. The executor
-//! now compiles the frozen graph once, at construction, into a
+//! Matching on every node's `OpKind`, looking parameters up in a hash map,
+//! resolving Split aliases and querying the memory plan's liveness tables
+//! is all request-invariant work, so the executor compiles the frozen graph
+//! once, at construction, into a
 //! [`LinearProgram`]: a flat instruction tape in topological order whose
 //! instructions carry fully-resolved kernel recipes (op kind, shapes,
 //! fused-ReLU flag, conv lowering strategy) and pre-resolved register
@@ -17,10 +17,6 @@
 //! results — which also makes the program's serial hint free to honour:
 //! cheap batch-1 programs run under a single thread to skip the fan-out
 //! cost without changing a single bit of output.
-//!
-//! The per-node interpreted walk survives as
-//! [`FrozenExecutor::infer_interpreted`] — the reference implementation the
-//! tape is tested bit-identical against.
 //!
 //! ## Per-op profiling
 //!
@@ -38,9 +34,9 @@ use crate::error::ServeError;
 use crate::params::{FrozenParamSet, FrozenParams};
 use crate::Result;
 use bnff_graph::linear::{Instr, Kernel, LinearProgram};
-use bnff_graph::op::{OpKind, PoolKind};
+use bnff_graph::op::PoolKind;
 use bnff_graph::plan::ExecutionPlan;
-use bnff_graph::{Graph, Node, NodeId};
+use bnff_graph::{Graph, NodeId};
 use bnff_kernels::affine::{
     channel_affine_in_place, channel_affine_into, channel_affine_relu_in_place,
     channel_affine_relu_into,
@@ -50,10 +46,9 @@ use bnff_kernels::conv::{
     conv2d_forward_gather_into, conv2d_forward_into, conv2d_forward_relu_into,
 };
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
-use bnff_kernels::fc::{fc_forward, fc_forward_into};
+use bnff_kernels::fc::fc_forward_into;
 use bnff_kernels::pool::{
-    avg_pool_forward_into, global_avg_pool_forward, global_avg_pool_forward_into,
-    max_pool_forward_into,
+    avg_pool_forward_into, global_avg_pool_forward_into, max_pool_forward_into,
 };
 use bnff_kernels::relu::{relu_forward_inplace, relu_forward_into};
 use bnff_obs::OpProfiler;
@@ -84,21 +79,15 @@ pub struct OpProfile {
 #[derive(Debug)]
 pub struct FrozenExecutor {
     graph: Graph,
-    params: Arc<FrozenParamSet>,
     plan: ExecutionPlan,
     program: LinearProgram,
     /// Per-instruction parameter handles, aligned with `program.instrs()` —
     /// bound once at compile time so the request path never touches the
     /// parameter hash map.
     bound: Vec<Option<Arc<FrozenParams>>>,
-    input: NodeId,
-    output: NodeId,
     batch: usize,
     /// The tape's register file (kept across calls so buffers recycle).
     registers: Mutex<Vec<Option<Tensor>>>,
-    /// Recycled arena buffers for the interpreted path, one bin per plan
-    /// slot (kept across calls).
-    workspace: Mutex<Vec<Option<Vec<f32>>>>,
     /// Opt-in per-instruction timing; one slot per tape instruction. Off
     /// by default — the disabled cost is one relaxed load per pass.
     profiler: OpProfiler,
@@ -116,30 +105,17 @@ impl FrozenExecutor {
     /// or a parameterised instruction has no folded parameters.
     pub fn new(
         graph: Graph,
-        params: Arc<FrozenParamSet>,
+        params: &FrozenParamSet,
         input: NodeId,
         output: NodeId,
     ) -> Result<Self> {
         let plan = ExecutionPlan::for_inference(&graph)?;
         let program = LinearProgram::lower(&graph, &plan, input, output)?;
         let batch = graph.node(input)?.output_shape.dim(0).map_err(ServeError::Tensor)?;
-        let bound = bind_params(&program, &params)?;
+        let bound = bind_params(&program, params)?;
         let registers = Mutex::new((0..program.reg_count()).map(|_| None).collect());
-        let workspace = Mutex::new(vec![None; plan.slot_count()]);
         let profiler = OpProfiler::new(program.instrs().len());
-        Ok(FrozenExecutor {
-            graph,
-            params,
-            plan,
-            program,
-            bound,
-            input,
-            output,
-            batch,
-            registers,
-            workspace,
-            profiler,
-        })
+        Ok(FrozenExecutor { graph, plan, program, bound, batch, registers, profiler })
     }
 
     /// Turns per-instruction timing on or off (off by default). Profiling
@@ -251,150 +227,6 @@ impl FrozenExecutor {
         regs[self.program.output_reg()]
             .take()
             .ok_or_else(|| ServeError::InvalidArgument("tape produced no output".into()))
-    }
-
-    fn conv_params(&self, node: &Node) -> Result<(&Tensor, Option<&[f32]>)> {
-        match self.params.get(node.id) {
-            Some(FrozenParams::Conv { weights, bias }) => Ok((weights, bias.as_deref())),
-            _ => Err(ServeError::Fold(format!("no frozen conv parameters for '{}'", node.name))),
-        }
-    }
-
-    fn alloc_output(&self, ws: &mut [Option<Vec<f32>>], id: NodeId, shape: &Shape) -> Tensor {
-        if let Some(slot) = self.plan.slot(id) {
-            if let Some(mut buf) = ws[slot].take() {
-                // Every kernel overwrites its whole output; leftover bytes
-                // in a grown buffer are never read.
-                buf.resize(shape.volume(), 0.0);
-                return Tensor::from_vec(shape.clone(), buf)
-                    .expect("arena buffer resized to the shape's volume");
-            }
-        }
-        Tensor::zeros(shape.clone())
-    }
-
-    fn release_dead(&self, ws: &mut [Option<Vec<f32>>], values: &mut [Option<Tensor>], pos: usize) {
-        for &dead in self.plan.released_after(pos) {
-            if let Some(tensor) = values[dead].take() {
-                let slot = self
-                    .plan
-                    .slot(NodeId::new(dead))
-                    .expect("released tensors always have a plan slot");
-                ws[slot] = Some(tensor.into_vec());
-            }
-        }
-    }
-
-    /// Runs one forward pass by interpreting the graph node by node — the
-    /// pre-tape reference implementation. The tape is tested bit-identical
-    /// against this walk across the model zoo. The walk deliberately does
-    /// *not* honour the tape's serial-execution hint: the hint comes from
-    /// the linear IR's compile-time FLOPs analysis, so it is part of what
-    /// the `tape_over_interpreted` comparison measures.
-    ///
-    /// # Errors
-    /// Returns an error when the input shape disagrees with the graph or a
-    /// kernel fails.
-    pub fn infer_interpreted(&self, data: &Tensor) -> Result<Tensor> {
-        let expected = &self.graph.node(self.input)?.output_shape;
-        expected.expect_same(data.shape()).map_err(ServeError::Tensor)?;
-
-        let n = self.graph.node_count();
-        let mut values: Vec<Option<Tensor>> = vec![None; n];
-        values[self.input.index()] = Some(data.clone());
-        let mut ws = self.workspace.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-
-        for (pos, &id) in self.plan.order().iter().enumerate() {
-            let node = self.graph.node(id)?;
-            let out = match &node.op {
-                OpKind::Input => None, // Pre-seeded.
-                OpKind::Conv2d(a) | OpKind::ConvRelu(a) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let (w, b) = self.conv_params(node)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
-                    if matches!(node.op, OpKind::ConvRelu(_)) {
-                        conv2d_forward_relu_into(x, w, b, a, &mut out)?;
-                    } else {
-                        conv2d_forward_into(x, w, b, a, &mut out)?;
-                    }
-                    Some(out)
-                }
-                OpKind::ChannelAffine => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let (scale, shift) = match self.params.get(id) {
-                        Some(FrozenParams::Affine { scale, shift }) => (scale, shift),
-                        _ => {
-                            return Err(ServeError::Fold(format!(
-                                "no frozen affine parameters for '{}'",
-                                node.name
-                            )))
-                        }
-                    };
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
-                    channel_affine_into(x, scale, shift, &mut out)?;
-                    Some(out)
-                }
-                OpKind::Relu => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
-                    relu_forward_into(x, &mut out)?;
-                    Some(out)
-                }
-                OpKind::Pool { kind, attrs } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
-                    match kind {
-                        // State-free inference kernel: no argmax retained.
-                        PoolKind::Max => max_pool_forward_into(x, attrs, &mut out)?,
-                        PoolKind::Average => avg_pool_forward_into(x, attrs, &mut out)?,
-                    }
-                    Some(out)
-                }
-                OpKind::GlobalAvgPool => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    Some(global_avg_pool_forward(x)?)
-                }
-                OpKind::Concat => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
-                    concat_forward_into(&refs, &mut out)?;
-                    Some(out)
-                }
-                OpKind::Split { .. } => None, // Alias, resolved by the plan.
-                OpKind::EltwiseSum => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
-                    eltwise_sum_forward_into(&refs, &mut out)?;
-                    Some(out)
-                }
-                OpKind::FullyConnected { .. } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let (w, b) = match self.params.get(id) {
-                        Some(FrozenParams::Fc { weights, bias }) => (weights, bias),
-                        _ => {
-                            return Err(ServeError::Fold(format!(
-                                "no frozen FC parameters for '{}'",
-                                node.name
-                            )))
-                        }
-                    };
-                    Some(fc_forward(x, w, b)?)
-                }
-                other => {
-                    return Err(ServeError::InvalidArgument(format!(
-                        "frozen graphs cannot contain the training operator {other}"
-                    )))
-                }
-            };
-            if let Some(out) = out {
-                values[id.index()] = Some(out);
-            }
-            self.release_dead(&mut ws, &mut values, pos);
-        }
-
-        values[self.plan.resolve(self.output).index()]
-            .take()
-            .ok_or_else(|| ServeError::InvalidArgument("frozen graph produced no output".into()))
     }
 }
 
@@ -558,24 +390,4 @@ fn exec_instr(
     }
     regs[instr.out] = Some(out);
     Ok(())
-}
-
-fn input_value<'a>(
-    plan: &ExecutionPlan,
-    values: &'a [Option<Tensor>],
-    node: &Node,
-    idx: usize,
-) -> Result<&'a Tensor> {
-    let input = node.inputs[idx];
-    values[plan.resolve(input).index()]
-        .as_ref()
-        .ok_or_else(|| ServeError::InvalidArgument(format!("missing output of {input}")))
-}
-
-fn input_values<'a>(
-    plan: &ExecutionPlan,
-    values: &'a [Option<Tensor>],
-    node: &Node,
-) -> Result<Vec<&'a Tensor>> {
-    (0..node.inputs.len()).map(|i| input_value(plan, values, node, i)).collect()
 }

@@ -9,7 +9,7 @@ use bnff_graph::builder::GraphBuilder;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_graph::Graph;
 use bnff_parallel::with_threads;
-use bnff_serve::{BatchingConfig, FrozenModel, ServeEngine};
+use bnff_serve::{BatchingConfig, ServeEngine, ServeError};
 use bnff_tensor::init::Initializer;
 use bnff_tensor::{Shape, Tensor};
 use bnff_train::checkpoint::Checkpoint;
@@ -224,33 +224,13 @@ fn engine_rejects_bad_samples_and_shuts_down_cleanly() {
         ServeEngine::builder().model(model).config(BatchingConfig::default()).start().unwrap();
     let bad = Tensor::zeros(Shape::nchw(1, 5, 8, 8));
     assert!(engine.submit(bad).is_err());
+    // A well-shaped sample carrying a NaN is rejected before it is queued.
+    let mut poisoned = Tensor::zeros(Shape::new(vec![3, 8, 8]));
+    poisoned.as_mut_slice()[7] = f32::NAN;
+    assert!(matches!(engine.submit(poisoned), Err(ServeError::InvalidArgument(_))));
     // A bare C×H×W sample is auto-batched.
     let ok = Tensor::zeros(Shape::new(vec![3, 8, 8]));
     let completion = engine.infer_blocking(ok).unwrap();
     assert_eq!(completion.scores.len(), 3);
     drop(engine);
-}
-
-/// The deprecated constructors remain functional for one release cycle:
-/// the pre-builder path must produce the same model and scores as the
-/// builder path. This is the single intentionally-legacy call site.
-#[test]
-#[allow(deprecated)]
-fn deprecated_constructors_still_match_the_builder() {
-    let (exec, data, _labels) = conditioned_executor(classifier(2, 3), 71);
-    let legacy = FrozenModel::from_executor(&exec).unwrap();
-    let modern = ServeEngine::builder().executor(&exec).build_model().unwrap();
-    let legacy_scores = legacy.executor(2).unwrap().infer(&data).unwrap();
-    let modern_scores = modern.executor(2).unwrap().infer(&data).unwrap();
-    assert_eq!(legacy_scores.as_slice(), modern_scores.as_slice());
-
-    let checkpoint = Checkpoint::capture(&exec);
-    let via_checkpoint = FrozenModel::from_checkpoint(&checkpoint).unwrap();
-    let engine = ServeEngine::start(via_checkpoint, BatchingConfig::default()).unwrap();
-    let sample =
-        Tensor::from_vec(Shape::nchw(1, 3, 8, 8), data.as_slice()[..3 * 8 * 8].to_vec()).unwrap();
-    let expected = modern.executor(1).unwrap().infer(&sample).unwrap();
-    let completion = engine.infer_blocking(sample).unwrap();
-    assert_eq!(completion.scores.as_slice(), expected.as_slice());
-    engine.shutdown();
 }

@@ -261,6 +261,11 @@ fn malformed_requests_are_400s() {
     let (status, _, body) = post(addr, "/v1/infer", "{\"sample\": [1.0, 2.0]}");
     assert_eq!(status, 400);
     assert!(body.contains("108"), "error names the expected volume: {body}");
+    // Right length, but 1e39 overflows f32 to +inf.
+    let overflow = format!("{{\"sample\": [1e39{}]}}", ", 0.5".repeat(107));
+    let (status, _, body) = post(addr, "/v1/infer", &overflow);
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("non-finite"), "error names the rejected value: {body}");
     // Malformed HTTP framing.
     let (status, _, _) = http(addr, "BROKEN\r\n\r\n");
     assert_eq!(status, 400);
