@@ -7,10 +7,10 @@
 //! the `all_figures` binary).
 
 use bnff_graph::op::Conv2dAttrs;
-use bnff_kernels::batchnorm::{bn_forward, bn_statistics, BnParams};
-use bnff_kernels::conv::{conv2d_forward, conv2d_forward_direct, conv2d_forward_into};
+use bnff_kernels::batchnorm::{bn_normalize_into, bn_statistics, BnParams};
+use bnff_kernels::conv::{conv2d_forward_direct, conv2d_forward_into};
 use bnff_kernels::fused::{conv2d_forward_with_stats_into, norm_relu_conv_forward_into};
-use bnff_kernels::relu::relu_forward;
+use bnff_kernels::relu::relu_forward_into;
 use bnff_tensor::init::Initializer;
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass, channel_stats_welford};
 use bnff_tensor::{Shape, Tensor};
@@ -36,7 +36,7 @@ fn tensors() -> (Tensor, Tensor, Tensor, Conv2dAttrs, Conv2dAttrs, BnParams) {
 /// plan-driven executor does.
 fn bench_conv_stats(c: &mut Criterion) {
     let (x, w1, _, attrs1, _, _) = tensors();
-    let mut out = conv2d_forward(&x, &w1, None, &attrs1).unwrap();
+    let mut out = Tensor::zeros(Shape::nchw(16, 64, 16, 16));
     let mut group = c.benchmark_group("fused_conv_stats");
     group.bench_function("unfused_conv_then_stats", |b| {
         b.iter(|| {
@@ -56,16 +56,22 @@ fn bench_conv_stats(c: &mut Criterion) {
 }
 
 /// (sub-BN2)-ReLU-CONV2: fused normalize+clip+conv vs BN → ReLU → CONV.
+/// Every output (the unfused side's BN and ReLU outputs included) is a
+/// preallocated buffer, as the tape executor's registers are.
 fn bench_norm_relu_conv(c: &mut Criterion) {
     let (x, w1, w2, attrs1, attrs2, bn) = tensors();
-    let conv1_out = conv2d_forward(&x, &w1, None, &attrs1).unwrap();
+    let mut conv1_out = Tensor::zeros(Shape::nchw(16, 64, 16, 16));
+    conv2d_forward_into(&x, &w1, None, &attrs1, &mut conv1_out).unwrap();
     let stats = bn_statistics(&conv1_out, false).unwrap();
-    let mut out = conv2d_forward(&relu_forward(&conv1_out), &w2, None, &attrs2).unwrap();
+    let mut y = Tensor::zeros(conv1_out.shape().clone());
+    let mut r = Tensor::zeros(conv1_out.shape().clone());
+    let mut out = Tensor::zeros(Shape::nchw(16, 32, 16, 16));
     let mut group = c.benchmark_group("fused_norm_relu_conv");
     group.bench_function("unfused_bn_relu_conv", |b| {
         b.iter(|| {
-            let (y, _) = bn_forward(black_box(&conv1_out), &bn, 1e-5, false).unwrap();
-            let r = relu_forward(&y);
+            let s = bn_statistics(black_box(&conv1_out), false).unwrap();
+            black_box(bn_normalize_into(&conv1_out, &s, &bn, 1e-5, &mut y).unwrap());
+            relu_forward_into(&y, &mut r).unwrap();
             conv2d_forward_into(&r, &w2, None, &attrs2, &mut out).unwrap();
             black_box(&out);
         })
@@ -113,12 +119,16 @@ fn bench_conv_lowering(c: &mut Criterion) {
     let x = init.uniform(Shape::nchw(8, 32, 16, 16), -1.0, 1.0);
     let attrs = Conv2dAttrs::same_3x3(32);
     let w = init.he_normal(Shape::nchw(32, 32, 3, 3), 32 * 9);
+    let mut out = Tensor::zeros(Shape::nchw(8, 32, 16, 16));
     let mut group = c.benchmark_group("conv_lowering");
     group.bench_function("direct", |b| {
         b.iter(|| black_box(conv2d_forward_direct(black_box(&x), &w, None, &attrs).unwrap()))
     });
     group.bench_function("im2col_gemm", |b| {
-        b.iter(|| black_box(conv2d_forward(black_box(&x), &w, None, &attrs).unwrap()))
+        b.iter(|| {
+            conv2d_forward_into(black_box(&x), &w, None, &attrs, &mut out).unwrap();
+            black_box(&out);
+        })
     });
     group.finish();
 }

@@ -7,20 +7,13 @@
 //! executor path is functional and not slower than the baseline at equal
 //! arithmetic.
 //!
-//! Every level runs through the memory-planned executor twice: pinned to one
+//! Every level runs through the tape-walking executor twice: pinned to one
 //! worker (`serial`) and with the machine's full worker count (`parallel`,
 //! i.e. whatever `BNFF_THREADS` resolves to), so the multi-core speedup of
 //! the kernel subsystem is *measured* by the same harness that measures the
-//! fusion win. For the baseline and BNFF graphs a reference entry pairs the
-//! naive (one-buffer-per-node, retain-everything) forward with the shared
-//! backward pass, so the planned forward's cost relative to the old
-//! allocation behaviour is a bench result, not an assumption. (The backward
-//! pass is common to both paths — its gradient buffers always recycle
-//! through the executor pool — so the `*_naive_*` delta isolates the
-//! forward-side planning.)
+//! fusion win.
 
 use bnff_bench::{level_bench_name, training_step_executors};
-use bnff_core::FusionLevel;
 use bnff_parallel::{current_threads, with_threads};
 use bnff_tensor::init::Initializer;
 use bnff_tensor::Shape;
@@ -44,17 +37,6 @@ fn bench_training_step(c: &mut Criterion) {
                 b.iter(|| {
                     with_threads(threads, || {
                         let fwd = exec.forward(black_box(&data), &labels).unwrap();
-                        black_box(exec.backward(&fwd).unwrap())
-                    })
-                })
-            });
-        }
-        // Planned vs naive executor comparison for the endpoint levels.
-        if matches!(level, FusionLevel::Baseline | FusionLevel::Bnff) {
-            group.bench_function(format!("{name}_graph_naive_t{full_threads}"), |b| {
-                b.iter(|| {
-                    with_threads(full_threads, || {
-                        let fwd = exec.forward_naive(black_box(&data), &labels).unwrap();
                         black_box(exec.backward(&fwd).unwrap())
                     })
                 })

@@ -13,7 +13,7 @@
 use bnff_bench::{print_table, training_step_executors, BenchReport};
 use bnff_core::{BnffOptimizer, FusionLevel};
 use bnff_graph::op::Conv2dAttrs;
-use bnff_kernels::conv::{conv2d_forward, conv2d_forward_direct};
+use bnff_kernels::conv::{conv2d_forward_direct, conv2d_forward_into};
 use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_streaming, gemm_tn, pack_pool_reuse};
 use bnff_kernels::{affine, batchnorm, relu};
@@ -85,8 +85,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let x = init.uniform(Shape::nchw(4, 16, 16, 16), -1.0, 1.0);
     let w = init.uniform(Shape::nchw(32, 16, 3, 3), -1.0, 1.0);
     let conv_flops = 2.0 * (4 * 32 * 16 * 16) as f64 * (16 * 9) as f64;
+    let mut conv_out = Tensor::zeros(Shape::nchw(4, 32, 16, 16));
     report.measure("conv3x3_im2col_packed", Some(conv_flops), 3, budget, || {
-        conv2d_forward(&x, &w, None, &attrs).unwrap();
+        conv2d_forward_into(&x, &w, None, &attrs, &mut conv_out).unwrap();
     });
     report.measure("conv3x3_direct", Some(conv_flops), 3, budget, || {
         conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
@@ -96,11 +97,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // forced scalar fallback (the bandwidth-bound side of the SIMD work).
     let bn_x = init.uniform(Shape::nchw(8, 32, 32, 32), -1.0, 1.0);
     let bn_params = batchnorm::BnParams::identity(32);
-    report.measure("bn_forward_one_pass", None, 3, budget, || {
-        batchnorm::bn_forward(&bn_x, &bn_params, 1e-5, true).unwrap();
-    });
+    // Statistics, then normalization into a recycled output (as the
+    // training tape runs BN).
+    let mut bn_out = Tensor::zeros(bn_x.shape().clone());
+    let bn_forward = |out: &mut Tensor| {
+        let stats = batchnorm::bn_statistics(&bn_x, true).unwrap();
+        batchnorm::bn_normalize_into(&bn_x, &stats, &bn_params, 1e-5, out).unwrap();
+    };
+    let mut relu_out = Tensor::zeros(bn_x.shape().clone());
+    report.measure("bn_forward_one_pass", None, 3, budget, || bn_forward(&mut bn_out));
     report.measure("relu_forward", None, 3, budget, || {
-        relu::relu_forward(&bn_x);
+        relu::relu_forward_into(&bn_x, &mut relu_out).unwrap();
     });
     let aff_scale = vec![1.25f32; 32];
     let aff_shift = vec![-0.1f32; 32];
@@ -109,11 +116,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         affine::channel_affine_relu_into(&bn_x, &aff_scale, &aff_shift, &mut aff_out).unwrap();
     });
     with_isa(SimdIsa::Scalar, || {
-        report.measure("bn_forward_one_pass_scalar", None, 3, budget, || {
-            batchnorm::bn_forward(&bn_x, &bn_params, 1e-5, true).unwrap();
-        });
+        report.measure("bn_forward_one_pass_scalar", None, 3, budget, || bn_forward(&mut bn_out));
         report.measure("relu_forward_scalar", None, 3, budget, || {
-            relu::relu_forward(&bn_x);
+            relu::relu_forward_into(&bn_x, &mut relu_out).unwrap();
         });
         report.measure("channel_affine_relu_scalar", None, 3, budget, || {
             affine::channel_affine_relu_into(&bn_x, &aff_scale, &aff_shift, &mut aff_out).unwrap();

@@ -63,8 +63,8 @@ pub struct MemoryPlanSummary {
     pub tensors: usize,
 }
 
-/// The memory plan of one graph: execution order, per-output liveness,
-/// buffer-slot assignment and release schedule.
+/// The memory plan of one graph: execution order, per-output liveness and
+/// buffer-slot assignment.
 ///
 /// Both metrics cover the node *output* tensors the executor materializes;
 /// auxiliary backward state (BN `x̂`, pooling argmax) is identical between
@@ -81,9 +81,6 @@ pub struct ExecutionPlan {
     liveness: Vec<Option<TensorLiveness>>,
     /// Node index → assigned reuse slot (None for saved / non-producers).
     slot: Vec<Option<usize>>,
-    /// Topological position → producer node indices whose buffers die after
-    /// that position executes.
-    release_at: Vec<Vec<usize>>,
     slot_bytes: Vec<usize>,
     naive_bytes: usize,
     saved_bytes: usize,
@@ -216,7 +213,6 @@ impl ExecutionPlan {
         // available to tensors defined strictly after `p`.
         let mut slot: Vec<Option<usize>> = vec![None; n];
         let mut slots: Vec<(usize, usize)> = Vec::new(); // (bytes, free_from)
-        let mut release_at: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
         let mut naive_bytes = 0usize;
         let mut saved_bytes = 0usize;
         for &id in &order {
@@ -227,7 +223,6 @@ impl ExecutionPlan {
                 saved_bytes += live.bytes;
                 continue;
             }
-            release_at[live.last_use].push(idx);
             let mut best: Option<usize> = None;
             for (si, &(bytes, free_from)) in slots.iter().enumerate() {
                 if free_from >= live.def {
@@ -273,7 +268,6 @@ impl ExecutionPlan {
             alias_of,
             liveness,
             slot,
-            release_at,
             slot_bytes: slots.into_iter().map(|(bytes, _)| bytes).collect(),
             naive_bytes,
             saved_bytes,
@@ -298,11 +292,6 @@ impl ExecutionPlan {
         }
     }
 
-    /// Whether a node's output tensor is an alias of another node's.
-    pub fn is_alias(&self, id: NodeId) -> bool {
-        self.alias_of[id.index()].is_some()
-    }
-
     /// Liveness of a node's own output tensor, if it produces one.
     pub fn liveness(&self, id: NodeId) -> Option<&TensorLiveness> {
         self.liveness.get(id.index()).and_then(Option::as_ref)
@@ -318,12 +307,6 @@ impl ExecutionPlan {
         self.slot.get(id.index()).copied().flatten()
     }
 
-    /// Producer node indices whose buffers die once the node at topological
-    /// position `pos` has executed.
-    pub fn released_after(&self, pos: usize) -> &[usize] {
-        self.release_at.get(pos).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Number of reusable buffer slots.
     pub fn slot_count(&self) -> usize {
         self.slot_bytes.len()
@@ -332,21 +315,6 @@ impl ExecutionPlan {
     /// Capacity in bytes of each reusable buffer slot.
     pub fn slot_sizes(&self) -> &[usize] {
         &self.slot_bytes
-    }
-
-    /// Byte offset of each reuse slot when the slots are laid out back to
-    /// back in one contiguous arena, each aligned to `align` bytes. A tape
-    /// compiler resolves these once so no slot lookup survives to request
-    /// time.
-    pub fn slot_offsets(&self, align: usize) -> Vec<usize> {
-        let align = align.max(1);
-        let mut offsets = Vec::with_capacity(self.slot_bytes.len());
-        let mut off = 0usize;
-        for &bytes in &self.slot_bytes {
-            offsets.push(off);
-            off += bytes.div_ceil(align) * align;
-        }
-        offsets
     }
 
     /// Peak bytes of node outputs the planned execution holds at once.
@@ -413,31 +381,13 @@ mod tests {
     fn transient_tensors_are_released_at_their_last_use() {
         let (g, ids) = conv_chain();
         let plan = ExecutionPlan::for_graph(&g).unwrap();
-        // conv1's output dies once bn has executed.
+        // conv1's output dies once bn has executed, and its slot is free
+        // for the tensors defined after that.
         let bn_pos = plan.position(ids[2]);
-        assert!(plan.released_after(bn_pos).contains(&ids[1].index()));
-        // Saved tensors are never released during forward.
-        for pos in 0..g.node_count() {
-            assert!(!plan.released_after(pos).contains(&ids[3].index()));
-        }
-    }
-
-    #[test]
-    fn slot_offsets_are_aligned_disjoint_prefix_sums() {
-        let (g, _) = conv_chain();
-        let plan = ExecutionPlan::for_graph(&g).unwrap();
-        let offsets = plan.slot_offsets(64);
-        let sizes = plan.slot_sizes();
-        assert_eq!(offsets.len(), sizes.len());
-        for (i, (&off, &bytes)) in offsets.iter().zip(sizes.iter()).enumerate() {
-            assert_eq!(off % 64, 0, "slot {i} offset {off} unaligned");
-            if let Some(&next) = offsets.get(i + 1) {
-                assert!(off + bytes <= next, "slot {i} overlaps its successor");
-            }
-        }
-        // Degenerate alignment of 0 is clamped rather than dividing by zero.
-        let tight = plan.slot_offsets(0);
-        assert_eq!(tight.len(), sizes.len());
+        assert_eq!(plan.liveness(ids[1]).unwrap().last_use, bn_pos);
+        assert!(plan.slot(ids[1]).is_some());
+        // Saved tensors hold no reuse slot: they live through backward.
+        assert!(plan.slot(ids[3]).is_none());
     }
 
     #[test]
@@ -464,7 +414,6 @@ mod tests {
         let _r2 = b.relu(s, "r2").unwrap();
         let g = b.finish();
         let plan = ExecutionPlan::for_graph(&g).unwrap();
-        assert!(plan.is_alias(s));
         assert_eq!(plan.resolve(s), x);
         assert!(plan.liveness(s).is_none());
         // The ReLU consumers read the input through the alias, which also

@@ -1,14 +1,19 @@
 //! Property tests for the linear-IR lowering: across randomly shaped
-//! chain/residual/dense graphs, the arena offsets a [`LinearProgram`]
-//! assigns must never alias two simultaneously-live values. Register reuse
-//! is legal only once the previous occupant's last reader has run (the
-//! boundary case — a pointwise kernel consuming its own output register in
-//! place — shares exactly one position and no more).
+//! chain/residual/dense graphs, the registers a [`LinearProgram`] assigns
+//! must never alias two simultaneously-live values — for the frozen
+//! inference tape and for the training tape of the baseline and
+//! BNFF-restructured graphs. Register reuse is legal only once the previous
+//! occupant's last reader has run (the boundary case — a pointwise kernel
+//! consuming its own output register in place — shares exactly one position
+//! and no more); a value the training plan saves for backward stays live to
+//! the end of the tape.
 
 use bnff_graph::builder::GraphBuilder;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_graph::passes::freeze::freeze;
-use bnff_graph::{Graph, LinearProgram, REG_ALIGN};
+use bnff_graph::passes::{BnffPass, Pass};
+use bnff_graph::plan::ExecutionPlan;
+use bnff_graph::{Graph, LinearProgram, NodeId};
 use bnff_tensor::Shape;
 use proptest::prelude::*;
 
@@ -54,45 +59,39 @@ fn build_graph(
 /// `last_use` (positions are 0 for the seeded input, `i + 1` for
 /// instruction `i`).
 struct LiveRange {
+    node: NodeId,
     reg: usize,
     def: usize,
     last_use: usize,
 }
 
 /// Replays the tape symbolically and checks that no two values whose live
-/// ranges overlap were assigned overlapping arena byte ranges.
-fn check_no_aliasing(program: &LinearProgram) -> Result<(), TestCaseError> {
-    let offsets = program.reg_offsets();
+/// ranges overlap were assigned the same register. Values for which `saved`
+/// holds must stay live to the end of the tape.
+fn check_no_aliasing(
+    program: &LinearProgram,
+    saved: &dyn Fn(NodeId) -> bool,
+) -> Result<(), TestCaseError> {
     let bytes = program.reg_bytes();
-    prop_assert_eq!(offsets.len(), program.reg_count());
-    for r in 0..program.reg_count() {
-        prop_assert!(
-            offsets[r].is_multiple_of(REG_ALIGN),
-            "register {} offset {} unaligned",
-            r,
-            offsets[r]
-        );
-        for s in r + 1..program.reg_count() {
-            let disjoint =
-                offsets[r] + bytes[r] <= offsets[s] || offsets[s] + bytes[s] <= offsets[r];
-            prop_assert!(disjoint, "registers {} and {} share arena bytes", r, s);
-        }
-    }
+    prop_assert_eq!(bytes.len(), program.reg_count());
 
     // Replay: which value (index into `ranges`) each register holds.
     let mut held: Vec<Option<usize>> = vec![None; program.reg_count()];
     let mut ranges: Vec<LiveRange> = Vec::new();
     held[program.input_reg()] = Some(0);
-    ranges.push(LiveRange { reg: program.input_reg(), def: 0, last_use: 0 });
+    ranges.push(LiveRange {
+        node: program.input_node(),
+        reg: program.input_reg(),
+        def: 0,
+        last_use: 0,
+    });
     for (i, instr) in program.instrs().iter().enumerate() {
         let pos = i + 1;
-        for (&reg, &off) in instr.inputs.iter().zip(&instr.input_offsets) {
-            prop_assert_eq!(off, offsets[reg]);
+        for &reg in &instr.inputs {
             let vid = held[reg];
             prop_assert!(vid.is_some(), "'{}' reads register {} before any def", instr.name, reg);
             ranges[vid.unwrap()].last_use = pos;
         }
-        prop_assert_eq!(instr.out_offset, offsets[instr.out]);
         prop_assert!(
             instr.out_volume * 4 <= bytes[instr.out],
             "'{}' writes {} bytes into register {} of {} bytes",
@@ -102,12 +101,17 @@ fn check_no_aliasing(program: &LinearProgram) -> Result<(), TestCaseError> {
             bytes[instr.out]
         );
         held[instr.out] = Some(ranges.len());
-        ranges.push(LiveRange { reg: instr.out, def: pos, last_use: pos });
+        ranges.push(LiveRange { node: instr.node, reg: instr.out, def: pos, last_use: pos });
     }
-    // The final output must survive to the end of the tape.
+    // The final output, and every value saved for backward, must survive
+    // to the end of the tape.
+    let end = program.len() + 1;
     let out_vid = held[program.output_reg()];
     prop_assert!(out_vid.is_some(), "output register never written");
-    ranges[out_vid.unwrap()].last_use = program.len() + 1;
+    ranges[out_vid.unwrap()].last_use = end;
+    for range in ranges.iter_mut().filter(|r| saved(r.node)) {
+        range.last_use = end;
+    }
 
     // Two values sharing a register must have non-overlapping live ranges;
     // `last_use == def` of the successor is the legal in-place boundary
@@ -147,6 +151,14 @@ proptest! {
         let program = LinearProgram::lower_for_inference(&frozen).unwrap();
         prop_assert!(!program.is_empty());
         program.validate().unwrap();
-        check_no_aliasing(&program)?;
+        check_no_aliasing(&program, &|_| false)?;
+
+        // The training tapes: baseline and BNFF-restructured.
+        for training in [graph.clone(), BnffPass::new().run(&graph).unwrap()] {
+            let plan = ExecutionPlan::for_graph(&training).unwrap();
+            let program = LinearProgram::lower_for_training(&training, &plan).unwrap();
+            program.validate().unwrap();
+            check_no_aliasing(&program, &|id| plan.is_saved(id))?;
+        }
     }
 }

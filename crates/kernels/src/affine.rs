@@ -189,28 +189,24 @@ fn channel_affine_into_impl(
     Ok(())
 }
 
-/// Allocating convenience wrapper around [`channel_affine_into`].
-///
-/// # Errors
-/// Returns an error if shapes or channel counts disagree.
-pub fn channel_affine(x: &Tensor, scale: &[f32], shift: &[f32]) -> Result<Tensor> {
-    let mut out = Tensor::zeros(x.shape().clone());
-    channel_affine_into(x, scale, shift, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batchnorm::{bn_normalize, BnParams};
+    use crate::batchnorm::{bn_normalize_into, BnParams};
     use bnff_tensor::init::Initializer;
     use bnff_tensor::stats::ChannelStats;
     use bnff_tensor::Shape;
 
+    fn affine(x: &Tensor, scale: &[f32], shift: &[f32]) -> Result<Tensor> {
+        let mut out = Tensor::zeros(x.shape().clone());
+        channel_affine_into(x, scale, shift, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn affine_applies_per_channel() {
         let x = Tensor::ones(Shape::nchw(2, 2, 2, 2));
-        let y = channel_affine(&x, &[2.0, -1.0], &[0.5, 0.25]).unwrap();
+        let y = affine(&x, &[2.0, -1.0], &[0.5, 0.25]).unwrap();
         for ni in 0..2 {
             assert!(y.channel_plane(ni, 0).iter().all(|&v| v == 2.5));
             assert!(y.channel_plane(ni, 1).iter().all(|&v| v == -0.75));
@@ -220,7 +216,7 @@ mod tests {
     #[test]
     fn affine_handles_matrices() {
         let x = Tensor::from_vec(Shape::matrix(2, 3), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let y = channel_affine(&x, &[1.0, 10.0, 100.0], &[0.0, 0.0, 1.0]).unwrap();
+        let y = affine(&x, &[1.0, 10.0, 100.0], &[0.0, 0.0, 1.0]).unwrap();
         assert_eq!(y.as_slice(), &[1.0, 20.0, 301.0, 4.0, 50.0, 601.0]);
     }
 
@@ -235,11 +231,12 @@ mod tests {
             count: 0,
         };
         let eps = 1e-5;
-        let (reference, _) = bn_normalize(&x, &stats, &params, eps).unwrap();
+        let mut reference = Tensor::zeros(x.shape().clone());
+        bn_normalize_into(&x, &stats, &params, eps, &mut reference).unwrap();
         let (scale, shift) =
             bn_affine_coefficients(&params.gamma, &params.beta, &stats.mean, &stats.var, eps)
                 .unwrap();
-        let affine = channel_affine(&x, &scale, &shift).unwrap();
+        let affine = affine(&x, &scale, &shift).unwrap();
         assert!(affine.all_close(&reference, 1e-5).unwrap());
     }
 
@@ -249,7 +246,7 @@ mod tests {
         let x = init.uniform(Shape::nchw(2, 3, 4, 4), -2.0, 2.0);
         let scale = [1.5, -0.5, 0.25];
         let shift = [0.1, -0.3, 0.0];
-        let affine = channel_affine(&x, &scale, &shift).unwrap();
+        let affine = affine(&x, &scale, &shift).unwrap();
         let mut fused = Tensor::zeros(x.shape().clone());
         channel_affine_relu_into(&x, &scale, &shift, &mut fused).unwrap();
         for (f, a) in fused.as_slice().iter().zip(affine.as_slice()) {
@@ -270,10 +267,10 @@ mod tests {
     #[test]
     fn shape_mismatches_are_rejected() {
         let x = Tensor::ones(Shape::nchw(1, 2, 2, 2));
-        assert!(channel_affine(&x, &[1.0], &[0.0, 0.0]).is_err());
-        assert!(channel_affine(&x, &[1.0, 1.0], &[0.0]).is_err());
+        assert!(affine(&x, &[1.0], &[0.0, 0.0]).is_err());
+        assert!(affine(&x, &[1.0, 1.0], &[0.0]).is_err());
         let v = Tensor::from_slice(&[1.0, 2.0]);
-        assert!(channel_affine(&v, &[1.0, 1.0], &[0.0, 0.0]).is_err());
+        assert!(affine(&v, &[1.0, 1.0], &[0.0, 0.0]).is_err());
         assert!(bn_affine_coefficients(&[1.0], &[0.0], &[0.0], &[1.0], 0.0).is_err());
         assert!(bn_affine_coefficients(&[1.0, 2.0], &[0.0], &[0.0], &[1.0], 1e-5).is_err());
     }

@@ -97,25 +97,10 @@ pub fn bn_statistics(x: &Tensor, one_pass: bool) -> Result<ChannelStats> {
     Ok(stats)
 }
 
-/// Normalizes `x` with the given statistics and parameters, returning the
-/// output and the pre-γ/β normalized activations.
-///
-/// # Errors
-/// Returns an error if shapes or channel counts disagree.
-pub fn bn_normalize(
-    x: &Tensor,
-    stats: &ChannelStats,
-    params: &BnParams,
-    epsilon: f32,
-) -> Result<(Tensor, Tensor)> {
-    let mut y = Tensor::zeros(x.shape().clone());
-    let x_hat = bn_normalize_into(x, stats, params, epsilon, &mut y)?;
-    Ok((y, x_hat))
-}
-
-/// [`bn_normalize`] into a caller-provided output tensor `y`, returning the
-/// (freshly allocated) normalized activations `x̂` that the backward pass
-/// retains. Every element of `y` is overwritten.
+/// Normalizes `x` with the given statistics and parameters into a
+/// caller-provided output tensor `y`, returning the (freshly allocated)
+/// pre-γ/β normalized activations `x̂` that the backward pass retains.
+/// Every element of `y` is overwritten.
 ///
 /// # Errors
 /// Returns an error if shapes or channel counts disagree.
@@ -178,21 +163,6 @@ pub fn bn_normalize_into(
         },
     );
     Ok(x_hat)
-}
-
-/// Full BN forward pass: statistics + normalization.
-///
-/// # Errors
-/// Returns an error if shapes or channel counts disagree.
-pub fn bn_forward(
-    x: &Tensor,
-    params: &BnParams,
-    epsilon: f32,
-    one_pass: bool,
-) -> Result<(Tensor, BnForwardState)> {
-    let stats = bn_statistics(x, one_pass)?;
-    let (y, x_hat) = bn_normalize(x, &stats, params, epsilon)?;
-    Ok((y, BnForwardState { stats, x_hat }))
 }
 
 /// BN backward pass.
@@ -281,11 +251,24 @@ mod tests {
         Initializer::seeded(seed).uniform(shape, -2.0, 2.0)
     }
 
+    /// Statistics + normalization into a fresh output.
+    fn forward(
+        x: &Tensor,
+        params: &BnParams,
+        epsilon: f32,
+        one_pass: bool,
+    ) -> Result<(Tensor, BnForwardState)> {
+        let stats = bn_statistics(x, one_pass)?;
+        let mut y = Tensor::zeros(x.shape().clone());
+        let x_hat = bn_normalize_into(x, &stats, params, epsilon, &mut y)?;
+        Ok((y, BnForwardState { stats, x_hat }))
+    }
+
     #[test]
     fn output_is_normalized_per_channel() {
         let x = random(Shape::nchw(8, 4, 6, 6), 1);
         let params = BnParams::identity(4);
-        let (y, _) = bn_forward(&x, &params, 1e-5, false).unwrap();
+        let (y, _) = forward(&x, &params, 1e-5, false).unwrap();
         let stats = bn_statistics(&y, false).unwrap();
         for ci in 0..4 {
             assert!(stats.mean[ci].abs() < 1e-4, "mean {}", stats.mean[ci]);
@@ -297,7 +280,7 @@ mod tests {
     fn gamma_beta_are_applied() {
         let x = random(Shape::nchw(4, 2, 4, 4), 2);
         let params = BnParams::new(vec![2.0, 0.5], vec![1.0, -1.0]).unwrap();
-        let (y, state) = bn_forward(&x, &params, 1e-5, false).unwrap();
+        let (y, state) = forward(&x, &params, 1e-5, false).unwrap();
         let expected = state.x_hat.clone();
         for ni in 0..4 {
             for (ci, (g, b)) in [(2.0f32, 1.0f32), (0.5, -1.0)].iter().enumerate() {
@@ -314,8 +297,8 @@ mod tests {
     fn one_pass_and_two_pass_agree() {
         let x = random(Shape::nchw(6, 5, 7, 7), 3);
         let params = BnParams::identity(5);
-        let (y1, _) = bn_forward(&x, &params, 1e-5, false).unwrap();
-        let (y2, _) = bn_forward(&x, &params, 1e-5, true).unwrap();
+        let (y1, _) = forward(&x, &params, 1e-5, false).unwrap();
+        let (y2, _) = forward(&x, &params, 1e-5, true).unwrap();
         assert!(y1.all_close(&y2, 1e-4).unwrap());
     }
 
@@ -323,7 +306,7 @@ mod tests {
     fn channel_mismatch_is_rejected() {
         let x = random(Shape::nchw(2, 3, 4, 4), 4);
         let params = BnParams::identity(5);
-        assert!(bn_forward(&x, &params, 1e-5, false).is_err());
+        assert!(forward(&x, &params, 1e-5, false).is_err());
         assert!(BnParams::new(vec![1.0], vec![0.0, 0.0]).is_err());
     }
 
@@ -332,15 +315,18 @@ mod tests {
         let x = random(Shape::nchw(2, 3, 4, 4), 4);
         let params = BnParams::identity(3);
         let stats = bn_statistics(&x, false).unwrap();
-        assert!(bn_normalize(&x, &stats, &params, 0.0).is_err());
+        let mut y = Tensor::zeros(x.shape().clone());
+        assert!(bn_normalize_into(&x, &stats, &params, 0.0, &mut y).is_err());
     }
 
     #[test]
     fn normalize_into_matches_allocating_path() {
+        // A NaN-filled (recycled) output matches a freshly zeroed one.
         let x = random(Shape::nchw(2, 3, 4, 4), 9);
         let params = BnParams::identity(3);
         let stats = bn_statistics(&x, false).unwrap();
-        let (y_ref, xh_ref) = bn_normalize(&x, &stats, &params, 1e-5).unwrap();
+        let mut y_ref = Tensor::zeros(x.shape().clone());
+        let xh_ref = bn_normalize_into(&x, &stats, &params, 1e-5, &mut y_ref).unwrap();
         let mut y = Tensor::filled(x.shape().clone(), f32::NAN);
         let xh = bn_normalize_into(&x, &stats, &params, 1e-5, &mut y).unwrap();
         assert_eq!(y.as_slice(), y_ref.as_slice());
@@ -353,7 +339,7 @@ mod tests {
     fn backward_param_grads_match_reductions() {
         let x = random(Shape::nchw(3, 2, 4, 4), 5);
         let params = BnParams::new(vec![1.5, 0.7], vec![0.2, -0.3]).unwrap();
-        let (_, state) = bn_forward(&x, &params, 1e-5, false).unwrap();
+        let (_, state) = forward(&x, &params, 1e-5, false).unwrap();
         let d_y = random(x.shape().clone(), 6);
         let (_, grads) = bn_backward(&d_y, &state, &params, 1e-5).unwrap();
         // d_beta must equal the plain per-channel sum of d_y.
@@ -375,11 +361,11 @@ mod tests {
         let g = random(x.shape().clone(), 8);
 
         let loss = |input: &Tensor| -> f64 {
-            let (y, _) = bn_forward(input, &params, eps_bn, false).unwrap();
+            let (y, _) = forward(input, &params, eps_bn, false).unwrap();
             y.as_slice().iter().zip(g.as_slice()).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum()
         };
 
-        let (_, state) = bn_forward(&x, &params, eps_bn, false).unwrap();
+        let (_, state) = forward(&x, &params, eps_bn, false).unwrap();
         let (d_x, _) = bn_backward(&g, &state, &params, eps_bn).unwrap();
 
         let h = 1e-2f32;

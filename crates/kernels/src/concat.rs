@@ -4,17 +4,6 @@ use crate::error::KernelError;
 use crate::Result;
 use bnff_tensor::{Shape, Tensor};
 
-/// Concatenates NCHW tensors along the channel axis.
-///
-/// # Errors
-/// Returns an error when no inputs are given or batch/spatial dimensions
-/// disagree.
-pub fn concat_forward(inputs: &[&Tensor]) -> Result<Tensor> {
-    let mut out = Tensor::zeros(concat_output_shape(inputs)?);
-    concat_forward_into(inputs, &mut out)?;
-    Ok(out)
-}
-
 /// The output shape of a channel-axis concatenation.
 ///
 /// # Errors
@@ -41,8 +30,8 @@ pub fn concat_output_shape(inputs: &[&Tensor]) -> Result<Shape> {
     Ok(Shape::nchw(n, channels, h, w))
 }
 
-/// [`concat_forward`] into a caller-provided output tensor. Every element
-/// of `out` is overwritten.
+/// Concatenates NCHW tensors along the channel axis into a caller-provided
+/// output tensor. Every element of `out` is overwritten.
 ///
 /// # Errors
 /// Returns an error when no inputs are given or shapes (including `out`'s)
@@ -103,11 +92,17 @@ pub fn concat_backward(d_y: &Tensor, input_shapes: &[Shape]) -> Result<Vec<Tenso
 mod tests {
     use super::*;
 
+    fn concat(inputs: &[&Tensor]) -> Tensor {
+        let mut out = Tensor::zeros(concat_output_shape(inputs).unwrap());
+        concat_forward_into(inputs, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn concatenates_channels_in_order() {
         let a = Tensor::filled(Shape::nchw(1, 1, 2, 2), 1.0);
         let b = Tensor::filled(Shape::nchw(1, 2, 2, 2), 2.0);
-        let y = concat_forward(&[&a, &b]).unwrap();
+        let y = concat(&[&a, &b]);
         assert_eq!(y.shape(), &Shape::nchw(1, 3, 2, 2));
         assert_eq!(y.channel_plane(0, 0), &[1.0; 4]);
         assert_eq!(y.channel_plane(0, 1), &[2.0; 4]);
@@ -118,7 +113,7 @@ mod tests {
     fn into_variant_overwrites_recycled_buffers() {
         let a = Tensor::filled(Shape::nchw(1, 1, 2, 2), 1.0);
         let b = Tensor::filled(Shape::nchw(1, 2, 2, 2), 2.0);
-        let reference = concat_forward(&[&a, &b]).unwrap();
+        let reference = concat(&[&a, &b]);
         let mut out = Tensor::filled(Shape::nchw(1, 3, 2, 2), f32::NAN);
         concat_forward_into(&[&a, &b], &mut out).unwrap();
         assert_eq!(out.as_slice(), reference.as_slice());
@@ -130,7 +125,7 @@ mod tests {
     fn backward_splits_gradient() {
         let a = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
         let b = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
-        let y = concat_forward(&[&a, &b]).unwrap();
+        let y = concat(&[&a, &b]);
         let mut d_y = Tensor::zeros(y.shape().clone());
         d_y.channel_plane_mut(0, 0).fill(1.0);
         d_y.channel_plane_mut(0, 2).fill(3.0);
@@ -144,7 +139,7 @@ mod tests {
     fn roundtrip_preserves_values() {
         let a = Tensor::from_vec(Shape::nchw(2, 1, 1, 2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let b = Tensor::from_vec(Shape::nchw(2, 1, 1, 2), vec![5.0, 6.0, 7.0, 8.0]).unwrap();
-        let y = concat_forward(&[&a, &b]).unwrap();
+        let y = concat(&[&a, &b]);
         let back = concat_backward(&y, &[a.shape().clone(), b.shape().clone()]).unwrap();
         assert!(back[0].all_close(&a, 1e-6).unwrap());
         assert!(back[1].all_close(&b, 1e-6).unwrap());
@@ -154,8 +149,9 @@ mod tests {
     fn mismatched_spatial_dims_rejected() {
         let a = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
         let b = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
-        assert!(concat_forward(&[&a, &b]).is_err());
-        assert!(concat_forward(&[]).is_err());
+        let mut out = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
+        assert!(concat_forward_into(&[&a, &b], &mut out).is_err());
+        assert!(concat_forward_into(&[], &mut out).is_err());
     }
 
     #[test]

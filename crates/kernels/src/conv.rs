@@ -105,35 +105,20 @@ pub fn conv2d_forward_direct(
     Ok(out)
 }
 
-/// The production convolution forward pass: im2col lowering into the
-/// cache-blocked packed GEMM, with the column scratch recycled through the
-/// shared pool across samples, calls and training steps. Pointwise
-/// (`1×1`/stride-1/no-pad) convolutions skip the im2col copy entirely —
-/// each input sample already *is* the column matrix.
-///
-/// # Errors
-/// Returns an error if the shapes are inconsistent.
-pub fn conv2d_forward(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-) -> Result<Tensor> {
-    let (_, out_h, out_w) = check_conv(input, weights, attrs)?;
-    let mut out = Tensor::zeros(Shape::nchw(input.shape().n(), attrs.out_channels, out_h, out_w));
-    conv2d_forward_into(input, weights, bias, attrs, &mut out)?;
-    Ok(out)
-}
-
 /// Whether a convolution's im2col column matrix is the input sample itself.
 fn is_pointwise(attrs: &Conv2dAttrs) -> bool {
     attrs.kernel_h == 1 && attrs.kernel_w == 1 && attrs.stride == 1 && attrs.pad == 0
 }
 
-/// [`conv2d_forward`] into a caller-provided output tensor (every element
-/// is overwritten — the packed GEMM's `beta == 0` path never reads the
-/// recycled buffer). This is the entry point the plan-driven executor and
-/// the fused kernels route their convolutions through.
+/// The production convolution forward pass, into a caller-provided output
+/// tensor: im2col lowering into the cache-blocked packed GEMM, with the
+/// column scratch recycled through the shared pool across samples, calls
+/// and training steps. Pointwise (`1×1`/stride-1/no-pad) convolutions skip
+/// the im2col copy entirely — each input sample already *is* the column
+/// matrix. Every element of `out` is overwritten (the packed GEMM's
+/// `beta == 0` path never reads the recycled buffer); this is the entry
+/// point the tape executors and the fused kernels route their convolutions
+/// through.
 ///
 /// # Errors
 /// Returns an error if the shapes (including `out`'s) are inconsistent.
@@ -300,26 +285,11 @@ fn conv2d_forward_into_impl(
     Ok(())
 }
 
-/// Gradient of the convolution with respect to its input.
-///
-/// # Errors
-/// Returns an error if the shapes are inconsistent.
-pub fn conv2d_backward_input(
-    d_out: &Tensor,
-    weights: &Tensor,
-    input_shape: &Shape,
-    attrs: &Conv2dAttrs,
-) -> Result<Tensor> {
-    let mut d_input = Tensor::zeros(input_shape.clone());
-    conv2d_backward_input_into(d_out, weights, attrs, &mut d_input)?;
-    Ok(d_input)
-}
-
-/// [`conv2d_backward_input`] accumulating into a caller-provided gradient
-/// tensor (whose shape is the convolution's input shape). The gradient is
-/// *added* to `d_input`, so callers wanting the plain gradient must pass a
-/// zero-filled tensor — e.g. one taken from a
-/// [`bnff_tensor::pool::BufferPool`].
+/// Gradient of the convolution with respect to its input, accumulated into
+/// a caller-provided gradient tensor (whose shape is the convolution's
+/// input shape). The gradient is *added* to `d_input`, so callers wanting
+/// the plain gradient must pass a zero-filled tensor — e.g. one taken from
+/// a [`bnff_tensor::pool::BufferPool`].
 ///
 /// # Errors
 /// Returns an error if the shapes are inconsistent.
@@ -456,6 +426,14 @@ mod tests {
         Initializer::seeded(seed).uniform(shape, -1.0, 1.0)
     }
 
+    /// The lowered convolution into a fresh output of the shape it produces.
+    fn lowered(x: &Tensor, w: &Tensor, bias: Option<&[f32]>, attrs: &Conv2dAttrs) -> Tensor {
+        let (_, oh, ow) = check_conv(x, w, attrs).unwrap();
+        let mut out = Tensor::zeros(Shape::nchw(x.shape().n(), attrs.out_channels, oh, ow));
+        conv2d_forward_into(x, w, bias, attrs, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn pointwise_conv_is_channel_mix() {
         // 1x1 conv with identity-like weights just scales channels.
@@ -476,7 +454,7 @@ mod tests {
         let x = random(Shape::nchw(2, 4, 9, 9), 1);
         let w = random(Shape::nchw(5, 4, 3, 3), 2);
         let direct = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
-        let lowered = conv2d_forward(&x, &w, None, &attrs).unwrap();
+        let lowered = lowered(&x, &w, None, &attrs);
         assert!(direct.all_close(&lowered, 1e-4).unwrap());
     }
 
@@ -531,7 +509,7 @@ mod tests {
         let y = conv2d_forward_direct(&x, &w, Some(&bias), &attrs).unwrap();
         assert_eq!(y.channel_plane(0, 0), &[11.0; 4]);
         assert_eq!(y.channel_plane(0, 1), &[-3.0; 4]);
-        let y2 = conv2d_forward(&x, &w, Some(&bias), &attrs).unwrap();
+        let y2 = lowered(&x, &w, Some(&bias), &attrs);
         assert!(y.all_close(&y2, 1e-6).unwrap());
     }
 
@@ -542,7 +520,8 @@ mod tests {
         let w = Tensor::zeros(Shape::nchw(4, 3, 5, 5));
         assert!(conv2d_forward_direct(&x, &w, None, &attrs).is_err());
         let w = Tensor::zeros(Shape::nchw(4, 2, 3, 3));
-        assert!(conv2d_forward(&x, &w, None, &attrs).is_err());
+        let mut out = Tensor::zeros(Shape::nchw(1, 4, 8, 8));
+        assert!(conv2d_forward_into(&x, &w, None, &attrs, &mut out).is_err());
     }
 
     /// Numerical gradient check for the convolution backward passes.
@@ -554,7 +533,8 @@ mod tests {
         let y = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
         // Loss = sum(y * g) for a fixed random g, so dL/dy = g.
         let g = random(y.shape().clone(), 5);
-        let d_x = conv2d_backward_input(&g, &w, x.shape(), &attrs).unwrap();
+        let mut d_x = Tensor::zeros(x.shape().clone());
+        conv2d_backward_input_into(&g, &w, &attrs, &mut d_x).unwrap();
         let (d_w, _) = conv2d_backward_weights(&x, &g, &attrs, false).unwrap();
 
         let loss = |input: &Tensor, weights: &Tensor| -> f64 {
@@ -600,7 +580,7 @@ mod tests {
         let attrs = Conv2dAttrs::same_3x3(4);
         let x = random(Shape::nchw(2, 3, 6, 6), 21);
         let w = random(Shape::nchw(4, 3, 3, 3), 22);
-        let reference = conv2d_forward(&x, &w, None, &attrs).unwrap();
+        let reference = lowered(&x, &w, None, &attrs);
         // A dirty buffer of the right shape must give bit-identical results.
         let mut out = Tensor::filled(Shape::nchw(2, 4, 6, 6), f32::NAN);
         conv2d_forward_into(&x, &w, None, &attrs, &mut out).unwrap();
@@ -625,7 +605,6 @@ mod tests {
         let attrs = Conv2dAttrs::new(8, 7, 2, 3);
         let x = random(Shape::nchw(1, 3, 32, 32), 7);
         let w = random(Shape::nchw(8, 3, 7, 7), 8);
-        let y = conv2d_forward(&x, &w, None, &attrs).unwrap();
-        assert_eq!(y.shape(), &Shape::nchw(1, 8, 16, 16));
+        assert_eq!(lowered(&x, &w, None, &attrs).shape(), &Shape::nchw(1, 8, 16, 16));
     }
 }

@@ -6,24 +6,11 @@ use crate::Result;
 use bnff_parallel::{min_items_per_thread, parallel_rows_mut};
 use bnff_tensor::{active_isa, Tensor};
 
-/// Element-wise sum of any number of equally shaped tensors, computed in a
-/// single parallel sweep over the output (each worker accumulates all
-/// inputs for its chunk, in input order).
-///
-/// # Errors
-/// Returns an error when no inputs are given or shapes differ.
-pub fn eltwise_sum_forward(inputs: &[&Tensor]) -> Result<Tensor> {
-    let first = inputs
-        .first()
-        .ok_or_else(|| KernelError::InvalidArgument("element-wise sum needs inputs".to_string()))?;
-    let mut out = Tensor::zeros(first.shape().clone());
-    eltwise_sum_forward_into(inputs, &mut out)?;
-    Ok(out)
-}
-
-/// [`eltwise_sum_forward`] into a caller-provided output tensor (the first
-/// input is written, the rest accumulate, in one sweep — no intermediate
-/// copy). Every element of `out` is overwritten.
+/// Element-wise sum of any number of equally shaped tensors into a
+/// caller-provided output tensor, computed in a single parallel sweep (each
+/// worker writes the first input for its chunk and accumulates the rest, in
+/// input order — no intermediate copy). Every element of `out` is
+/// overwritten.
 ///
 /// # Errors
 /// Returns an error when no inputs are given or shapes differ.
@@ -50,12 +37,6 @@ pub fn eltwise_sum_forward_into(inputs: &[&Tensor], out: &mut Tensor) -> Result<
     Ok(())
 }
 
-/// Backward pass of the element-wise sum: each input receives the upstream
-/// gradient unchanged.
-pub fn eltwise_sum_backward(d_y: &Tensor, num_inputs: usize) -> Vec<Tensor> {
-    (0..num_inputs).map(|_| d_y.clone()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,16 +47,18 @@ mod tests {
         let a = Tensor::filled(Shape::vector(4), 1.0);
         let b = Tensor::filled(Shape::vector(4), 2.0);
         let c = Tensor::filled(Shape::vector(4), 3.0);
-        let y = eltwise_sum_forward(&[&a, &b, &c]).unwrap();
+        let mut y = Tensor::zeros(Shape::vector(4));
+        eltwise_sum_forward_into(&[&a, &b, &c], &mut y).unwrap();
         assert_eq!(y.as_slice(), &[6.0; 4]);
     }
 
     #[test]
     fn rejects_empty_and_mismatched() {
-        assert!(eltwise_sum_forward(&[]).is_err());
+        let mut out = Tensor::zeros(Shape::vector(4));
+        assert!(eltwise_sum_forward_into(&[], &mut out).is_err());
         let a = Tensor::zeros(Shape::vector(4));
         let b = Tensor::zeros(Shape::vector(5));
-        assert!(eltwise_sum_forward(&[&a, &b]).is_err());
+        assert!(eltwise_sum_forward_into(&[&a, &b], &mut out).is_err());
     }
 
     #[test]
@@ -84,19 +67,9 @@ mod tests {
         let b = Tensor::from_slice(&[0.5, 0.5, 0.5]);
         let mut out = Tensor::from_slice(&[9.0, 9.0, 9.0]);
         eltwise_sum_forward_into(&[&a, &b], &mut out).unwrap();
-        assert_eq!(out.as_slice(), eltwise_sum_forward(&[&a, &b]).unwrap().as_slice());
+        assert_eq!(out.as_slice(), &[1.5, -1.5, 3.5]);
         let mut bad = Tensor::zeros(Shape::vector(4));
         assert!(eltwise_sum_forward_into(&[&a, &b], &mut bad).is_err());
         assert!(eltwise_sum_forward_into(&[], &mut out).is_err());
-    }
-
-    #[test]
-    fn backward_replicates_gradient() {
-        let d_y = Tensor::from_slice(&[1.0, 2.0]);
-        let grads = eltwise_sum_backward(&d_y, 3);
-        assert_eq!(grads.len(), 3);
-        for g in grads {
-            assert_eq!(g, d_y);
-        }
     }
 }

@@ -18,7 +18,7 @@
 //!   by `bnff-memsim`; numerically the result must be identical).
 
 use crate::batchnorm::{min_planes_per_thread, BnParamGrads, BnParams};
-use crate::conv::{conv2d_backward_input, conv2d_backward_weights, conv2d_forward_into};
+use crate::conv::{conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward_into};
 use crate::error::KernelError;
 use crate::relu::relu_backward;
 use crate::vecops;
@@ -167,7 +167,8 @@ pub fn norm_relu_conv_backward(
     with_bias: bool,
 ) -> Result<NormReluConvGrads> {
     // Convolution backward.
-    let d_conv_input = conv2d_backward_input(d_out, weights, state.conv_input.shape(), attrs)?;
+    let mut d_conv_input = Tensor::zeros(state.conv_input.shape().clone());
+    conv2d_backward_input_into(d_out, weights, attrs, &mut d_conv_input)?;
     let (d_weights, d_bias) = conv2d_backward_weights(&state.conv_input, d_out, attrs, with_bias)?;
     // ReLU backward (mask taken from the post-ReLU conv input).
     let d_post_bn = relu_backward(&d_conv_input, &state.conv_input)?;
@@ -195,9 +196,9 @@ pub fn concat_forward_with_stats_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batchnorm::{bn_forward, bn_statistics};
-    use crate::conv::conv2d_forward;
-    use crate::relu::relu_forward;
+    use crate::batchnorm::{bn_normalize_into, bn_statistics, BnForwardState};
+    use crate::concat::{concat_forward_into, concat_output_shape};
+    use crate::relu::relu_forward_into;
     use bnff_tensor::init::Initializer;
     use bnff_tensor::Shape;
 
@@ -205,12 +206,41 @@ mod tests {
         Initializer::seeded(seed).uniform(shape, -1.0, 1.0)
     }
 
+    // The unfused reference kernels, each into a freshly zeroed output.
+
+    /// A stride-1 "same" convolution (the only geometry these tests use).
+    fn conv(x: &Tensor, w: &Tensor, attrs: &Conv2dAttrs) -> Tensor {
+        let s = x.shape();
+        let mut out = Tensor::zeros(Shape::nchw(s.n(), attrs.out_channels, s.h(), s.w()));
+        conv2d_forward_into(x, w, None, attrs, &mut out).unwrap();
+        out
+    }
+
+    fn relu(x: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(x.shape().clone());
+        relu_forward_into(x, &mut out).unwrap();
+        out
+    }
+
+    fn bn_train(x: &Tensor, params: &BnParams, epsilon: f32) -> (Tensor, BnForwardState) {
+        let stats = bn_statistics(x, false).unwrap();
+        let mut y = Tensor::zeros(x.shape().clone());
+        let x_hat = bn_normalize_into(x, &stats, params, epsilon, &mut y).unwrap();
+        (y, BnForwardState { stats, x_hat })
+    }
+
+    fn concat(inputs: &[&Tensor]) -> Tensor {
+        let mut out = Tensor::zeros(concat_output_shape(inputs).unwrap());
+        concat_forward_into(inputs, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn conv_with_stats_matches_separate_computation() {
         let attrs = Conv2dAttrs::same_3x3(6);
         let x = random(Shape::nchw(3, 4, 8, 8), 1);
         let w = random(Shape::nchw(6, 4, 3, 3), 2);
-        let plain_out = conv2d_forward(&x, &w, None, &attrs).unwrap();
+        let plain_out = conv(&x, &w, &attrs);
         let mut fused_out = Tensor::zeros(plain_out.shape().clone());
         let fused_stats =
             conv2d_forward_with_stats_into(&x, &w, None, &attrs, &mut fused_out).unwrap();
@@ -228,9 +258,9 @@ mod tests {
         let eps = 1e-5;
 
         // Unfused: BN forward -> ReLU -> conv.
-        let (bn_out, bn_state) = bn_forward(&raw, &bn, eps, false).unwrap();
-        let relu_out = relu_forward(&bn_out);
-        let unfused_out = conv2d_forward(&relu_out, &w, None, &attrs).unwrap();
+        let (bn_out, bn_state) = bn_train(&raw, &bn, eps);
+        let relu_out = relu(&bn_out);
+        let unfused_out = conv(&relu_out, &w, &attrs);
 
         let stats = bn_statistics(&raw, false).unwrap();
         let mut fused_out = Tensor::zeros(unfused_out.shape().clone());
@@ -259,9 +289,10 @@ mod tests {
         let fused = norm_relu_conv_backward(&d_out, &state, &bn, eps, &w, &attrs, false).unwrap();
 
         // Unfused reference.
-        let (bn_out, bn_state) = bn_forward(&raw, &bn, eps, false).unwrap();
-        let relu_out = relu_forward(&bn_out);
-        let d_relu_out = conv2d_backward_input(&d_out, &w, relu_out.shape(), &attrs).unwrap();
+        let (bn_out, bn_state) = bn_train(&raw, &bn, eps);
+        let relu_out = relu(&bn_out);
+        let mut d_relu_out = Tensor::zeros(relu_out.shape().clone());
+        conv2d_backward_input_into(&d_out, &w, &attrs, &mut d_relu_out).unwrap();
         let (d_w_ref, _) = conv2d_backward_weights(&relu_out, &d_out, &attrs, false).unwrap();
         let d_bn_out = relu_backward(&d_relu_out, &relu_out).unwrap();
         let (d_raw_ref, d_bn_ref) =
@@ -278,11 +309,12 @@ mod tests {
     #[test]
     fn into_variants_match_allocating_paths() {
         // Each fused kernel writes a NaN-filled recycled buffer completely,
-        // bit for bit equal to the allocating unfused kernels it composes.
+        // bit for bit equal to the unfused kernels it composes writing
+        // zeroed buffers.
         let attrs = Conv2dAttrs::same_3x3(4);
         let x = random(Shape::nchw(2, 3, 6, 6), 31);
         let w = random(Shape::nchw(4, 3, 3, 3), 32);
-        let plain = conv2d_forward(&x, &w, None, &attrs).unwrap();
+        let plain = conv(&x, &w, &attrs);
         let plain_stats = ChannelAccumulator::from_tensor(&plain).unwrap().finalize().unwrap();
         let mut out = Tensor::filled(plain.shape().clone(), f32::NAN);
         let stats = conv2d_forward_with_stats_into(&x, &w, None, &attrs, &mut out).unwrap();
@@ -296,11 +328,11 @@ mod tests {
         let state =
             norm_relu_conv_forward_into(&x, &in_stats, &bn, 1e-5, &w, None, &attrs, &mut nrc)
                 .unwrap();
-        let nrc_ref = conv2d_forward(&state.conv_input, &w, None, &attrs).unwrap();
+        let nrc_ref = conv(&state.conv_input, &w, &attrs);
         assert_eq!(nrc.as_slice(), nrc_ref.as_slice());
-        assert_eq!(state.conv_input.as_slice(), relu_forward(&state.conv_input).as_slice());
+        assert_eq!(state.conv_input.as_slice(), relu(&state.conv_input).as_slice());
 
-        let cat_ref = crate::concat::concat_forward(&[&x, &plain]).unwrap();
+        let cat_ref = concat(&[&x, &plain]);
         let cat_stats_ref = ChannelAccumulator::from_tensor(&cat_ref).unwrap().finalize().unwrap();
         let mut cat = Tensor::filled(cat_ref.shape().clone(), f32::NAN);
         let cat_stats = concat_forward_with_stats_into(&[&x, &plain], &mut cat).unwrap();
@@ -313,7 +345,7 @@ mod tests {
     fn concat_with_stats_matches_separate() {
         let a = random(Shape::nchw(2, 2, 4, 4), 10);
         let b = random(Shape::nchw(2, 3, 4, 4), 11);
-        let plain = crate::concat::concat_forward(&[&a, &b]).unwrap();
+        let plain = concat(&[&a, &b]);
         let mut out = Tensor::zeros(plain.shape().clone());
         let stats = concat_forward_with_stats_into(&[&a, &b], &mut out).unwrap();
         assert!(out.all_close(&plain, 1e-6).unwrap());

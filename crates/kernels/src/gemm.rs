@@ -228,7 +228,7 @@ fn pack_b_strip(
         Operand::Im2col(v) => {
             // Logical element (kk, j) of the column matrix is input value
             // `(ci, oh·s + kh − pad, ow·s + kw − pad)` with zeros outside
-            // the image — exactly what `im2col` would have written. The
+            // the image — exactly what `im2col_into` would have written. The
             // per-column window origins are fixed across the strip, so they
             // are resolved once (one div/mod per column, not per element).
             let mut ih_base = [0isize; NR];

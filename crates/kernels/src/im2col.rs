@@ -26,19 +26,9 @@ pub(crate) fn conv_out_dim(dim: usize, kernel: usize, stride: usize, pad: usize)
 }
 
 /// Expands one sample of an NCHW tensor into a `(C·Kh·Kw) × (Ho·Wo)` column
-/// matrix (row-major).
-///
-/// # Errors
-/// Returns an error if the input is not 4-D or the window does not fit.
-pub fn im2col(input: &Tensor, sample: usize, attrs: &Conv2dAttrs) -> Result<Vec<f32>> {
-    let mut out = Vec::new();
-    im2col_into(input, sample, attrs, &mut out)?;
-    Ok(out)
-}
-
-/// [`im2col`] into a caller-provided scratch buffer, so a loop over the
-/// mini-batch (or over training steps) expands every sample into the same
-/// allocation instead of building a fresh column matrix each time.
+/// matrix (row-major), in a caller-provided scratch buffer, so a loop over
+/// the mini-batch (or over training steps) expands every sample into the
+/// same allocation instead of building a fresh column matrix each time.
 ///
 /// The buffer is resized to `(C·Kh·Kw) · (Ho·Wo)` and every element is
 /// overwritten.
@@ -88,7 +78,7 @@ pub fn im2col_into(
 }
 
 /// Accumulates a `(C·Kh·Kw) × (Ho·Wo)` column matrix back into one sample of
-/// an NCHW tensor (the adjoint of [`im2col`], used for the gradient with
+/// an NCHW tensor (the adjoint of [`im2col_into`], used for the gradient with
 /// respect to the convolution input).
 ///
 /// # Errors
@@ -147,7 +137,7 @@ pub fn col2im_accumulate(
     Ok(())
 }
 
-/// Shape of the column matrix produced by [`im2col`] for the given input
+/// Shape of the column matrix produced by [`im2col_into`] for the given input
 /// shape and attributes: `(rows, cols)`.
 ///
 /// # Errors
@@ -163,11 +153,17 @@ pub fn col_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
 mod tests {
     use super::*;
 
+    fn expand(input: &Tensor, sample: usize, attrs: &Conv2dAttrs) -> Result<Vec<f32>> {
+        let mut out = Vec::new();
+        im2col_into(input, sample, attrs, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn identity_kernel_copies_input() {
         let x = Tensor::from_vec(Shape::nchw(1, 1, 2, 2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let attrs = Conv2dAttrs::pointwise(1);
-        let cols = im2col(&x, 0, &attrs).unwrap();
+        let cols = expand(&x, 0, &attrs).unwrap();
         assert_eq!(cols, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
@@ -175,7 +171,7 @@ mod tests {
     fn padding_produces_zero_border() {
         let x = Tensor::ones(Shape::nchw(1, 1, 2, 2));
         let attrs = Conv2dAttrs::same_3x3(1);
-        let cols = im2col(&x, 0, &attrs).unwrap();
+        let cols = expand(&x, 0, &attrs).unwrap();
         let (rows, ncols) = col_shape(x.shape(), &attrs).unwrap();
         assert_eq!((rows, ncols), (9, 4));
         // First row corresponds to kernel offset (0,0): for output (0,0) it
@@ -191,7 +187,7 @@ mod tests {
         let data: Vec<f32> = (0..16).map(|i| i as f32).collect();
         let x = Tensor::from_vec(Shape::nchw(1, 1, 4, 4), data).unwrap();
         let attrs = Conv2dAttrs::new(1, 2, 2, 0);
-        let cols = im2col(&x, 0, &attrs).unwrap();
+        let cols = expand(&x, 0, &attrs).unwrap();
         let (rows, ncols) = col_shape(x.shape(), &attrs).unwrap();
         assert_eq!((rows, ncols), (4, 4));
         // Row 0 = kernel offset (0,0): top-left corner of each 2x2 window.
@@ -205,7 +201,7 @@ mod tests {
         let data: Vec<f32> = (0..16).map(|i| i as f32).collect();
         let x = Tensor::from_vec(Shape::nchw(1, 1, 4, 4), data).unwrap();
         let attrs = Conv2dAttrs::new(1, 2, 2, 0);
-        let cols = im2col(&x, 0, &attrs).unwrap();
+        let cols = expand(&x, 0, &attrs).unwrap();
         let mut back = Tensor::zeros(x.shape().clone());
         col2im_accumulate(&cols, &mut back, 0, &attrs).unwrap();
         assert!(back.all_close(&x, 1e-6).unwrap());
@@ -216,20 +212,21 @@ mod tests {
         let data: Vec<f32> = (0..32).map(|i| i as f32).collect();
         let x = Tensor::from_vec(Shape::nchw(2, 1, 4, 4), data).unwrap();
         let attrs = Conv2dAttrs::same_3x3(1);
-        let mut scratch = Vec::new();
+        // A dirty, oversized scratch buffer is resized and fully overwritten.
+        let mut scratch = vec![f32::NAN; 1000];
         for sample in 0..2 {
             im2col_into(&x, sample, &attrs, &mut scratch).unwrap();
-            assert_eq!(scratch, im2col(&x, sample, &attrs).unwrap());
+            assert_eq!(scratch, expand(&x, sample, &attrs).unwrap());
         }
     }
 
     #[test]
     fn errors_on_bad_input() {
         let x = Tensor::zeros(Shape::matrix(2, 2));
-        assert!(im2col(&x, 0, &Conv2dAttrs::pointwise(1)).is_err());
+        assert!(expand(&x, 0, &Conv2dAttrs::pointwise(1)).is_err());
         let x = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
         let attrs = Conv2dAttrs::new(1, 5, 1, 0);
-        assert!(im2col(&x, 0, &attrs).is_err());
+        assert!(expand(&x, 0, &attrs).is_err());
         let mut t = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
         assert!(col2im_accumulate(&[0.0; 3], &mut t, 0, &Conv2dAttrs::pointwise(1)).is_err());
     }

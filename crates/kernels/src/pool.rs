@@ -171,24 +171,14 @@ pub fn max_pool_backward(
     Ok(d_x)
 }
 
-/// Average-pooling forward pass (count includes padding positions excluded,
-/// i.e. the divisor is the number of valid input positions in the window).
+/// Average-pooling forward pass into a caller-provided output tensor
+/// (padding positions are excluded from the count, i.e. the divisor is the
+/// number of valid input positions in the window). Every element of `out`
+/// is overwritten.
 ///
 /// # Errors
-/// Returns an error if the input is not 4-D or the window does not fit.
-pub fn avg_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Result<Tensor> {
-    let (oh, ow) = pooled_shape(x, attrs)?;
-    let (n, c) = (x.shape().n(), x.shape().c());
-    let mut output = Tensor::zeros(Shape::nchw(n, c, oh, ow));
-    avg_pool_forward_into(x, attrs, &mut output)?;
-    Ok(output)
-}
-
-/// [`avg_pool_forward`] into a caller-provided output tensor. Every element
-/// of `out` is overwritten.
-///
-/// # Errors
-/// Returns an error if the shapes (including `out`'s) are inconsistent.
+/// Returns an error if the input is not 4-D, the window does not fit, or
+/// `out`'s shape is inconsistent.
 pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, out: &mut Tensor) -> Result<()> {
     let (oh, ow) = pooled_shape(x, attrs)?;
     let (n, c, h, w) = (x.shape().n(), x.shape().c(), x.shape().h(), x.shape().w());
@@ -379,7 +369,8 @@ mod tests {
     #[test]
     fn avg_pool_matches_mean() {
         let x = Tensor::from_vec(Shape::nchw(1, 1, 2, 2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = avg_pool_forward(&x, &PoolAttrs::new(2, 2, 0)).unwrap();
+        let mut y = Tensor::zeros(Shape::nchw(1, 1, 1, 1));
+        avg_pool_forward_into(&x, &PoolAttrs::new(2, 2, 0), &mut y).unwrap();
         assert_eq!(y.as_slice(), &[2.5]);
         let d_y = Tensor::from_vec(Shape::nchw(1, 1, 1, 1), vec![4.0]).unwrap();
         let d_x = avg_pool_backward(&d_y, x.shape(), &PoolAttrs::new(2, 2, 0)).unwrap();
@@ -424,7 +415,8 @@ mod tests {
     fn non_nchw_is_rejected() {
         let x = Tensor::zeros(Shape::matrix(4, 4));
         assert!(max_pool_forward(&x, &PoolAttrs::new(2, 2, 0)).is_err());
-        assert!(avg_pool_forward(&x, &PoolAttrs::new(2, 2, 0)).is_err());
+        let mut out = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
+        assert!(avg_pool_forward_into(&x, &PoolAttrs::new(2, 2, 0), &mut out).is_err());
         assert!(global_avg_pool_forward(&x).is_err());
     }
 

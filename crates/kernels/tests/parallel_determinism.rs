@@ -8,15 +8,17 @@
 //! the work, more threads than work items, and single-element inputs.
 
 use bnff_graph::op::{Conv2dAttrs, PoolAttrs};
-use bnff_kernels::batchnorm::{bn_backward, bn_forward, BnParams};
-use bnff_kernels::conv::{
-    conv2d_backward_input, conv2d_backward_weights, conv2d_forward, conv2d_forward_direct,
+use bnff_kernels::batchnorm::{
+    bn_backward, bn_normalize_into, bn_statistics, BnForwardState, BnParams,
 };
-use bnff_kernels::eltwise::eltwise_sum_forward;
+use bnff_kernels::conv::{
+    conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward_direct, conv2d_forward_into,
+};
+use bnff_kernels::eltwise::eltwise_sum_forward_into;
 use bnff_kernels::fused::{conv2d_forward_with_stats_into, norm_relu_conv_forward_into};
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn};
-use bnff_kernels::pool::{avg_pool_forward, max_pool_backward, max_pool_forward};
-use bnff_kernels::relu::{relu_backward, relu_forward};
+use bnff_kernels::pool::{avg_pool_forward_into, max_pool_backward, max_pool_forward};
+use bnff_kernels::relu::{relu_backward, relu_forward_into};
 use bnff_kernels::softmax::softmax_loss_forward;
 use bnff_parallel::{with_grain, with_threads};
 use bnff_tensor::init::Initializer;
@@ -61,6 +63,30 @@ where
     // The production grain must not change results either.
     let default_grain = with_threads(THREADS[0], &f);
     assert_close(label, THREADS[0], &reference, &default_grain);
+}
+
+/// BN training forward (statistics, then normalization), flattened as
+/// output then per-channel mean and variance.
+fn bn_train(x: &Tensor, params: &BnParams, one_pass: bool) -> (Vec<f32>, BnForwardState) {
+    let stats = bn_statistics(x, one_pass).unwrap();
+    let mut y = Tensor::zeros(x.shape().clone());
+    let x_hat = bn_normalize_into(x, &stats, params, 1e-5, &mut y).unwrap();
+    let mut flat = y.into_vec();
+    flat.extend(&stats.mean);
+    flat.extend(&stats.var);
+    (flat, BnForwardState { stats, x_hat })
+}
+
+fn relu(x: &Tensor) -> Vec<f32> {
+    let mut out = Tensor::zeros(x.shape().clone());
+    relu_forward_into(x, &mut out).unwrap();
+    out.into_vec()
+}
+
+fn eltwise_sum(inputs: &[&Tensor]) -> Vec<f32> {
+    let mut out = Tensor::zeros(inputs[0].shape().clone());
+    eltwise_sum_forward_into(inputs, &mut out).unwrap();
+    out.into_vec()
 }
 
 /// The fused conv-with-statistics kernel on a same-padded 3×3 convolution,
@@ -117,13 +143,17 @@ fn conv_forward_and_backward_match_serial() {
         check(&format!("conv_direct n={n} ic={ic} oc={oc} hw={hw}"), || {
             conv2d_forward_direct(&x, &w, None, &attrs).unwrap().into_vec()
         });
-        check(&format!("conv_im2col n={n} ic={ic} oc={oc} hw={hw}"), || {
-            conv2d_forward(&x, &w, None, &attrs).unwrap().into_vec()
-        });
         let y = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
+        check(&format!("conv_im2col n={n} ic={ic} oc={oc} hw={hw}"), || {
+            let mut out = Tensor::zeros(y.shape().clone());
+            conv2d_forward_into(&x, &w, None, &attrs, &mut out).unwrap();
+            out.into_vec()
+        });
         let d_out = random(y.shape().clone(), seed + 200);
         check(&format!("conv_backward_input n={n} ic={ic} oc={oc} hw={hw}"), || {
-            conv2d_backward_input(&d_out, &w, x.shape(), &attrs).unwrap().into_vec()
+            let mut d_x = Tensor::zeros(x.shape().clone());
+            conv2d_backward_input_into(&d_out, &w, &attrs, &mut d_x).unwrap();
+            d_x.into_vec()
         });
         check(&format!("conv_backward_weights n={n} ic={ic} oc={oc} hw={hw}"), || {
             let (d_w, d_b) = conv2d_backward_weights(&x, &d_out, &attrs, false).unwrap();
@@ -149,15 +179,11 @@ fn batchnorm_matches_serial() {
         .unwrap();
         for one_pass in [false, true] {
             check(&format!("bn_forward n={n} c={c} hw={hw} one_pass={one_pass}"), || {
-                let (y, state) = bn_forward(&x, &params, 1e-5, one_pass).unwrap();
-                let mut flat = y.into_vec();
-                flat.extend(state.stats.mean);
-                flat.extend(state.stats.var);
-                flat
+                bn_train(&x, &params, one_pass).0
             });
         }
         check(&format!("bn_backward n={n} c={c} hw={hw}"), || {
-            let (_, state) = bn_forward(&x, &params, 1e-5, false).unwrap();
+            let (_, state) = bn_train(&x, &params, false);
             let d_y = random(x.shape().clone(), seed + 50);
             let (d_x, grads) = bn_backward(&d_y, &state, &params, 1e-5).unwrap();
             let mut flat = d_x.into_vec();
@@ -200,18 +226,23 @@ fn pool_relu_eltwise_match_serial() {
         let d_y = random(state.output_shape.clone(), 13);
         max_pool_backward(&d_y, &state, x.shape()).unwrap().into_vec()
     });
-    check("avg_pool_forward", || avg_pool_forward(&x, &pool).unwrap().into_vec());
-    check("relu_forward", || relu_forward(&x).into_vec());
+    check("avg_pool_forward", || {
+        // 9×9 pooled by a 3×3/stride-2/pad-1 window is 5×5.
+        let mut out = Tensor::zeros(Shape::nchw(3, 5, 5, 5));
+        avg_pool_forward_into(&x, &pool, &mut out).unwrap();
+        out.into_vec()
+    });
+    check("relu_forward", || relu(&x));
     check("relu_backward", || {
         let d_y = random(x.shape().clone(), 14);
         relu_backward(&d_y, &x).unwrap().into_vec()
     });
     let b = random(x.shape().clone(), 15);
     let c = random(x.shape().clone(), 16);
-    check("eltwise_sum", || eltwise_sum_forward(&[&x, &b, &c]).unwrap().into_vec());
+    check("eltwise_sum", || eltwise_sum(&[&x, &b, &c]));
     // A single-element tensor exercises the degenerate partitions.
     let tiny = Tensor::from_slice(&[-1.5]);
-    check("relu_single_element", || relu_forward(&tiny).into_vec());
+    check("relu_single_element", || relu(&tiny));
 }
 
 #[test]
@@ -266,15 +297,9 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
             gemm(m, n, k, 1.25, &a, &bb, 0.5, &mut c).unwrap();
             c
         }),
-        ("bn_forward_one_pass", &|| {
-            let (y, state) = bn_forward(&x, &params, 1e-5, true).unwrap();
-            let mut flat = y.into_vec();
-            flat.extend(state.stats.mean);
-            flat.extend(state.stats.var);
-            flat
-        }),
-        ("relu", &|| relu_forward(&x).into_vec()),
-        ("eltwise_sum", &|| eltwise_sum_forward(&[&x, &b]).unwrap().into_vec()),
+        ("bn_forward_one_pass", &|| bn_train(&x, &params, true).0),
+        ("relu", &|| relu(&x)),
+        ("eltwise_sum", &|| eltwise_sum(&[&x, &b])),
         ("conv_with_stats", &|| conv_with_stats(&x, &w, &attrs)),
     ];
     for &isa in &isas {

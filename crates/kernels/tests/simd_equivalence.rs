@@ -16,13 +16,13 @@
 //! passes, it just stops being a cross-path check.
 
 use bnff_graph::op::Conv2dAttrs;
-use bnff_kernels::batchnorm::{bn_forward, BnParams};
+use bnff_kernels::batchnorm::{bn_normalize_into, bn_statistics, BnParams};
 use bnff_kernels::conv::conv2d_forward_relu_into;
 use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
-use bnff_kernels::eltwise::eltwise_sum_forward;
+use bnff_kernels::eltwise::eltwise_sum_forward_into;
 use bnff_kernels::fused::norm_relu_conv_forward_into;
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn, KC, MC, MR, NR};
-use bnff_kernels::relu::relu_forward;
+use bnff_kernels::relu::relu_forward_into;
 use bnff_kernels::{affine, fc};
 use bnff_tensor::init::Initializer;
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass};
@@ -132,13 +132,21 @@ fn relu_and_eltwise_are_bit_identical_across_paths() {
     let mut init = Initializer::seeded(21);
     let x = init.uniform(Shape::nchw(2, 3, 9, 9), -2.0, 2.0);
     let b = init.uniform(Shape::nchw(2, 3, 9, 9), -2.0, 2.0);
-    let (s, v) = both_paths(|| relu_forward(&x).into_vec());
+    let (s, v) = both_paths(|| {
+        let mut out = Tensor::zeros(x.shape().clone());
+        relu_forward_into(&x, &mut out).unwrap();
+        out.into_vec()
+    });
     assert_eq!(
         s.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
         v.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
         "relu must not differ across dispatch paths"
     );
-    let (s, v) = both_paths(|| eltwise_sum_forward(&[&x, &b, &x]).unwrap().into_vec());
+    let (s, v) = both_paths(|| {
+        let mut out = Tensor::zeros(x.shape().clone());
+        eltwise_sum_forward_into(&[&x, &b, &x], &mut out).unwrap();
+        out.into_vec()
+    });
     assert_eq!(
         s.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
         v.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
@@ -184,9 +192,11 @@ fn bn_affine_and_fused_paths_agree() {
     let params = BnParams::new(vec![1.2, 0.8, -0.4, 1.0], vec![0.1, -0.2, 0.3, 0.0]).unwrap();
 
     let (s, v) = both_paths(|| {
-        let (y, state) = bn_forward(&x, &params, 1e-5, true).unwrap();
+        let stats = bn_statistics(&x, true).unwrap();
+        let mut y = Tensor::zeros(x.shape().clone());
+        let x_hat = bn_normalize_into(&x, &stats, &params, 1e-5, &mut y).unwrap();
         let mut flat = y.into_vec();
-        flat.extend(state.x_hat.into_vec());
+        flat.extend(x_hat.into_vec());
         flat
     });
     // Normalize is one FMA deep; statistics dominate the (tiny) drift.

@@ -96,7 +96,7 @@ pub struct FrozenExecutor {
 impl FrozenExecutor {
     /// Creates an executor over a frozen graph and its folded parameters:
     /// plans the graph's memory, lowers it to a [`LinearProgram`] and binds
-    /// every instruction's parameters. All lowering errors (training-only
+    /// every instruction's parameters. All compile errors (training-only
     /// operators, missing parameters, register hazards) surface here, not
     /// at request time.
     ///
@@ -231,7 +231,8 @@ impl FrozenExecutor {
 }
 
 /// Pre-binds every instruction's parameter handle and checks the handle's
-/// kind against the kernel recipe, so the tape walker can assume both.
+/// kind against the kernel recipe, so the tape walker can assume both;
+/// training-only instructions are rejected.
 fn bind_params(
     program: &LinearProgram,
     params: &FrozenParamSet,
@@ -251,6 +252,12 @@ fn bind_params(
                 Kernel::FullyConnected => {
                     matches!(handle.as_deref(), Some(FrozenParams::Fc { .. }))
                 }
+                Kernel::Train(op) => {
+                    return Err(ServeError::InvalidArgument(format!(
+                        "training-only operator {op} in instruction '{}'; freeze the graph first",
+                        instr.name
+                    )))
+                }
                 _ => return Ok(None),
             };
             if ok {
@@ -263,22 +270,6 @@ fn bind_params(
             }
         })
         .collect()
-}
-
-/// Takes the output register's buffer (or allocates one) shaped for the
-/// instruction.
-fn take_out(regs: &mut [Option<Tensor>], instr: &Instr) -> Tensor {
-    match regs[instr.out].take() {
-        Some(t) => {
-            let mut buf = t.into_vec();
-            // Every kernel overwrites its whole output; leftover values in
-            // a grown buffer are never read.
-            buf.resize(instr.out_volume, 0.0);
-            Tensor::from_vec(instr.out_shape.clone(), buf)
-                .expect("register buffer resized to the instruction's volume")
-        }
-        None => Tensor::zeros(instr.out_shape.clone()),
-    }
 }
 
 fn reg_ref<'a>(regs: &'a [Option<Tensor>], instr: &Instr, idx: usize) -> Result<&'a Tensor> {
@@ -325,7 +316,7 @@ fn exec_instr(
         regs[instr.out] = Some(buf);
         return Ok(());
     }
-    let mut out = take_out(regs, instr);
+    let mut out = instr.take_output(regs);
     match (&instr.kernel, params) {
         (
             Kernel::Conv { attrs, fused_relu, gather },
@@ -390,4 +381,23 @@ fn exec_instr(
     }
     regs[instr.out] = Some(out);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bnff_graph::builder::GraphBuilder;
+
+    #[test]
+    fn training_only_instructions_are_rejected() {
+        // An unfrozen graph lowers (BN becomes a training-only
+        // instruction), but only the training executor can run it.
+        let mut b = GraphBuilder::new("unfrozen");
+        let x = b.input("in", Shape::nchw(1, 2, 4, 4)).unwrap();
+        let bn = b.batch_norm_default(x, "bn").unwrap();
+        let gap = b.global_avg_pool(bn, "gap").unwrap();
+        let fc = b.fully_connected(gap, 2, "fc").unwrap();
+        let err = FrozenExecutor::new(b.finish(), &FrozenParamSet::default(), x, fc);
+        assert!(matches!(err, Err(ServeError::InvalidArgument(_))), "{err:?}");
+    }
 }

@@ -1,18 +1,18 @@
-//! The numeric graph executor: plan-driven forward and backward passes over
-//! a model graph, dispatching to the kernels crate, including the fused BNFF
-//! operators.
+//! The numeric training executor: a walker over the graph's compiled
+//! [`LinearProgram`] tape, dispatching to the kernels crate, including the
+//! fused BNFF operators.
 //!
-//! Execution is organized around a [`bnff_graph::plan::ExecutionPlan`]
-//! computed once per graph: node outputs live in a slot vector indexed by
-//! node id (inputs are *borrowed*, never cloned out of a map), tensors the
-//! backward pass never revisits are released at their last forward use, and
-//! their storage is recycled through a per-executor arena (one bin per plan
-//! slot) plus a [`BufferPool`] for backward gradients — both persistent
-//! across training steps. [`Executor::forward_naive`] keeps the old
-//! one-buffer-per-node behaviour as the reference the equivalence tests
-//! compare against; both paths are bit-identical.
+//! [`Executor::with_state`] plans the graph once
+//! ([`ExecutionPlan::for_graph`]) and lowers it to the same linear tape the
+//! frozen serving executor walks ([`LinearProgram::lower_for_training`]).
+//! The forward pass runs the tape front to back against one persistent
+//! register file: slot registers keep their buffers across instructions and
+//! across training steps, while the registers the plan pins — the tensors
+//! the backward pass re-reads — are moved into the [`ForwardResult`]. The
+//! backward pass walks the same tape back to front and recycles gradient
+//! buffers through a [`BufferPool`] as soon as they are consumed.
 //!
-//! Nodes execute in topological order (layer dependencies are sequential),
+//! Instructions execute in tape order (layer dependencies are sequential),
 //! but every dispatched kernel fans its per-sample / per-channel / per-row
 //! work out across the `bnff-parallel` pool, so one training step saturates
 //! `BNFF_THREADS` cores: convolutions lower to the cache-blocked packed
@@ -25,34 +25,38 @@ use crate::error::TrainError;
 use crate::params::{NodeParamGrads, NodeParams, ParamSet};
 use crate::running::RunningStatSet;
 use crate::Result;
+use bnff_graph::linear::{Instr, Kernel, LinearProgram};
 use bnff_graph::op::{OpKind, PoolKind};
 use bnff_graph::plan::ExecutionPlan;
-use bnff_graph::{Graph, Node, NodeId};
-use bnff_kernels::batchnorm::{bn_backward, bn_normalize_into, bn_statistics, BnForwardState};
+use bnff_graph::{Graph, NodeId};
+use bnff_kernels::batchnorm::{
+    bn_backward, bn_normalize_into, bn_statistics, BnForwardState, BnParams,
+};
 use bnff_kernels::concat::{concat_backward, concat_forward_into};
 use bnff_kernels::conv::{
-    conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward_into,
+    conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward_gather_into,
+    conv2d_forward_into,
 };
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
-use bnff_kernels::fc::{fc_backward, fc_forward};
+use bnff_kernels::fc::{fc_backward, fc_forward_into};
 use bnff_kernels::fused::{
     concat_forward_with_stats_into, conv2d_forward_with_stats_into, norm_relu_conv_backward,
     norm_relu_conv_forward_into, NormReluConvState,
 };
 use bnff_kernels::pool::{
-    avg_pool_backward, avg_pool_forward_into, global_avg_pool_backward, global_avg_pool_forward,
-    max_pool_backward, max_pool_forward, MaxPoolState,
+    avg_pool_backward, avg_pool_forward_into, global_avg_pool_backward,
+    global_avg_pool_forward_into, max_pool_backward, max_pool_forward, MaxPoolState,
 };
-use bnff_kernels::relu::{relu_backward, relu_forward, relu_forward_inplace, relu_forward_into};
+use bnff_kernels::relu::{relu_backward, relu_forward_inplace, relu_forward_into};
 use bnff_kernels::softmax::{
     accuracy, softmax_loss_backward, softmax_loss_forward, SoftmaxLossState,
 };
 use bnff_tensor::pool::BufferPool;
 use bnff_tensor::stats::ChannelStats;
-use bnff_tensor::{ops, Shape, Tensor};
+use bnff_tensor::{ops, Tensor};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Which statistics a forward pass normalizes with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,37 +88,49 @@ pub struct ForwardResult {
     pub accuracy: f32,
     /// The classifier scores fed into the loss node.
     pub scores: Tensor,
-    /// Node outputs, indexed by node id. Under the planned path only the
-    /// tensors the backward pass revisits survive; the naive path keeps
-    /// every output.
-    values: Vec<Option<Tensor>>,
-    /// Split nodes forward their input's tensor: alias[i] names the node
-    /// whose output a lookup of node `i` resolves to.
-    alias: Vec<Option<usize>>,
+    /// The tensors the backward pass re-reads (the plan's saved values),
+    /// indexed by node id.
+    saved: Vec<Option<Tensor>>,
     stats: Vec<Option<ChannelStats>>,
     states: Vec<Option<NodeState>>,
     labels: Vec<usize>,
+    /// Which statistics the pass normalized with.
+    mode: StatsMode,
 }
 
 impl ForwardResult {
-    /// The output tensor of a node, if it was retained.
-    ///
-    /// The planned forward pass ([`Executor::forward`]) retains only the
-    /// tensors its liveness analysis says the backward pass re-reads;
-    /// [`Executor::forward_naive`] retains every node output.
+    /// The output tensor of a node, if the forward pass saved it for the
+    /// backward pass (Split nodes are aliases and own no tensor).
     pub fn output(&self, id: NodeId) -> Option<&Tensor> {
-        let idx = self.alias.get(id.index()).copied().flatten().unwrap_or(id.index());
-        self.values.get(idx).and_then(Option::as_ref)
+        self.saved.get(id.index()).and_then(Option::as_ref)
     }
 
-    /// The mini-batch statistics produced by a statistics-bearing node.
+    /// The statistics produced by a statistics-bearing node: the
+    /// mini-batch's after [`Executor::forward`], the running ones after
+    /// [`Executor::forward_eval`].
     pub fn stats(&self, id: NodeId) -> Option<&ChannelStats> {
         self.stats.get(id.index()).and_then(Option::as_ref)
     }
 
-    fn input_tensor(&self, node: &Node, idx: usize) -> Result<&Tensor> {
-        self.output(node.inputs[idx])
-            .ok_or_else(|| TrainError::Missing(format!("forward output of {}", node.inputs[idx])))
+    /// The saved forward value of an instruction's `idx`-th operand.
+    fn operand(&self, instr: &Instr, idx: usize) -> Result<&Tensor> {
+        let id = instr.input_nodes[idx];
+        self.output(id).ok_or_else(|| TrainError::Missing(format!("forward output of {id}")))
+    }
+
+    fn state(&self, instr: &Instr) -> Option<&NodeState> {
+        self.states.get(instr.node.index()).and_then(Option::as_ref)
+    }
+
+    /// Rejects results of an eval-mode forward, whose normalizations used
+    /// running rather than mini-batch statistics.
+    fn expect_batch_stats(&self, what: &str) -> Result<()> {
+        match self.mode {
+            StatsMode::Batch => Ok(()),
+            StatsMode::Running => Err(TrainError::InvalidArgument(format!(
+                "{what} needs a training-mode forward result, got an eval-mode one"
+            ))),
+        }
     }
 }
 
@@ -136,45 +152,35 @@ impl Gradients {
     /// Global L2 norm of all parameter gradients (useful for debugging
     /// exploding/vanishing gradients).
     pub fn global_norm(&self) -> f64 {
-        let mut acc = 0.0f64;
-        for g in self.per_node.values() {
-            match g {
-                NodeParamGrads::Conv { d_weights, d_bias } => {
-                    acc += d_weights.sq_norm();
-                    acc += d_bias.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                }
-                NodeParamGrads::Bn { d_gamma, d_beta } => {
-                    acc += d_gamma.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                    acc += d_beta.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                }
+        let sq = |v: &[f32]| v.iter().map(|&x| f64::from(x) * f64::from(x)).sum::<f64>();
+        let total: f64 = self
+            .per_node
+            .values()
+            .map(|g| match g {
+                NodeParamGrads::Conv { d_weights, d_bias }
+                | NodeParamGrads::Fc { d_weights, d_bias } => d_weights.sq_norm() + sq(d_bias),
+                NodeParamGrads::Bn { d_gamma, d_beta } => sq(d_gamma) + sq(d_beta),
                 NodeParamGrads::ConvBn { d_weights, d_bias, d_gamma, d_beta } => {
-                    acc += d_weights.sq_norm();
-                    acc += d_bias.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                    acc += d_gamma.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                    acc += d_beta.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
+                    d_weights.sq_norm() + sq(d_bias) + sq(d_gamma) + sq(d_beta)
                 }
-                NodeParamGrads::Fc { d_weights, d_bias } => {
-                    acc += d_weights.sq_norm();
-                    acc += d_bias.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                }
-            }
-        }
-        acc.sqrt()
+            })
+            .sum();
+        total.sqrt()
     }
 }
 
-/// The persistent buffer storage one executor recycles across nodes and
-/// across training steps: one bin per plan slot for forward activations,
-/// plus a best-fit free list for backward gradients.
+/// The persistent buffer storage one executor recycles across instructions
+/// and across training steps: the tape's register file for forward
+/// activations, plus a best-fit free list for backward gradients.
 struct Workspace {
-    arena: Vec<Option<Vec<f32>>>,
+    registers: Vec<Option<Tensor>>,
     pool: BufferPool,
 }
 
 impl Workspace {
-    fn for_plan(plan: &ExecutionPlan) -> Self {
+    fn new(program: &LinearProgram, plan: &ExecutionPlan) -> Self {
         Workspace {
-            arena: vec![None; plan.slot_count()],
+            registers: vec![None; program.reg_count()],
             // Backward releases roughly one gradient buffer per activation;
             // bound the free list so give/take imbalance can never grow the
             // pool without limit across steps.
@@ -186,8 +192,8 @@ impl Workspace {
 impl fmt::Debug for Workspace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Workspace")
-            .field("arena_slots", &self.arena.len())
-            .field("arena_filled", &self.arena.iter().flatten().count())
+            .field("registers", &self.registers.len())
+            .field("registers_filled", &self.registers.iter().flatten().count())
             .field("pool_free_bytes", &self.pool.free_bytes())
             .finish()
     }
@@ -199,6 +205,7 @@ pub struct Executor {
     graph: Graph,
     params: ParamSet,
     plan: ExecutionPlan,
+    program: LinearProgram,
     running: RunningStatSet,
     workspace: Mutex<Workspace>,
 }
@@ -209,9 +216,10 @@ impl Clone for Executor {
             graph: self.graph.clone(),
             params: self.params.clone(),
             plan: self.plan.clone(),
+            program: self.program.clone(),
             running: self.running.clone(),
             // Recycled buffers are per-executor scratch, not state.
-            workspace: Mutex::new(Workspace::for_plan(&self.plan)),
+            workspace: Mutex::new(Workspace::new(&self.program, &self.plan)),
         }
     }
 }
@@ -231,22 +239,25 @@ impl Executor {
     ///
     /// # Errors
     /// Returns an error if the graph cannot be memory-planned (e.g. it is
-    /// cyclic).
+    /// cyclic) or lowered to a tape.
     pub fn with_params(graph: Graph, params: ParamSet) -> Result<Self> {
         let running = RunningStatSet::initialize(&graph);
         Self::with_state(graph, params, running)
     }
 
     /// Creates an executor around an existing parameter set *and* running
-    /// statistics (checkpoint restore).
+    /// statistics (checkpoint restore), planning the graph and compiling it
+    /// to the tape every pass walks.
     ///
     /// # Errors
     /// Returns an error if the graph cannot be memory-planned (e.g. it is
-    /// cyclic).
+    /// cyclic) or lowered to a tape (e.g. it has no 4-D data input or no
+    /// softmax loss).
     pub fn with_state(graph: Graph, params: ParamSet, running: RunningStatSet) -> Result<Self> {
         let plan = ExecutionPlan::for_graph(&graph)?;
-        let workspace = Mutex::new(Workspace::for_plan(&plan));
-        Ok(Executor { graph, params, plan, running, workspace })
+        let program = LinearProgram::lower_for_training(&graph, &plan)?;
+        let workspace = Mutex::new(Workspace::new(&program, &plan));
+        Ok(Executor { graph, params, plan, program, running, workspace })
     }
 
     /// The executor's graph.
@@ -284,9 +295,11 @@ impl Executor {
     /// mirroring what training frameworks do inside their BN layers.
     ///
     /// # Errors
-    /// Returns an error when a tracked node's statistics are absent from
-    /// `fwd` (e.g. the result came from an eval-mode forward).
+    /// Returns [`TrainError::InvalidArgument`] for the result of an
+    /// eval-mode forward, and an error when a tracked node's statistics are
+    /// absent from `fwd`.
     pub fn update_running_stats(&mut self, fwd: &ForwardResult) -> Result<()> {
+        fwd.expect_batch_stats("update_running_stats")?;
         let tracked: Vec<usize> = self.running.iter().map(|(idx, _)| *idx).collect();
         for idx in tracked {
             let id = NodeId::new(idx);
@@ -299,103 +312,51 @@ impl Executor {
         Ok(())
     }
 
-    fn data_input(&self) -> Result<NodeId> {
-        self.graph
-            .input_nodes()
-            .into_iter()
-            .find(|id| self.graph.node(*id).map(|n| n.output_shape.is_nchw()).unwrap_or(false))
-            .ok_or_else(|| TrainError::Missing("4-D data input node".to_string()))
-    }
-
-    fn conv_params(&self, node: &Node) -> Result<(&Tensor, Option<&[f32]>)> {
-        match self.params.get(node.id) {
+    fn conv_params(&self, instr: &Instr) -> Result<(&Tensor, Option<&[f32]>)> {
+        match self.params.get(instr.op_node) {
             Some(NodeParams::Conv { weights, bias }) => Ok((weights, bias.as_deref())),
             Some(NodeParams::ConvBn { weights, bias, .. }) => Ok((weights, bias.as_deref())),
-            _ => Err(TrainError::Missing(format!("convolution parameters for '{}'", node.name))),
+            _ => Err(TrainError::Missing(format!("convolution parameters for '{}'", instr.name))),
         }
     }
 
-    fn bn_params(&self, node: &Node) -> Result<&bnff_kernels::batchnorm::BnParams> {
-        match self.params.get(node.id) {
+    fn bn_params(&self, instr: &Instr) -> Result<&BnParams> {
+        match self.params.get(instr.op_node) {
             Some(NodeParams::Bn(p)) => Ok(p),
             Some(NodeParams::ConvBn { bn, .. }) => Ok(bn),
-            _ => Err(TrainError::Missing(format!("BN parameters for '{}'", node.name))),
+            _ => Err(TrainError::Missing(format!("BN parameters for '{}'", instr.name))),
         }
     }
 
-    /// The shape of a node's first input.
-    fn input_shape(&self, node: &Node, idx: usize) -> Result<Shape> {
-        Ok(self.graph.node(node.inputs[idx])?.output_shape.clone())
-    }
-
-    /// Allocates the output tensor for `id`: from the arena bin of its plan
-    /// slot when the planned path's workspace is supplied, fresh otherwise
-    /// (naive path, or an output the plan retains for backward).
-    fn alloc_output(&self, ws: Option<&mut Workspace>, id: NodeId, shape: &Shape) -> Tensor {
-        if let Some(ws) = ws {
-            if let Some(slot) = self.plan.slot(id) {
-                if let Some(mut buf) = ws.arena[slot].take() {
-                    // Every kernel fed from the arena overwrites its whole
-                    // output, so only growth needs (zero-)initialization;
-                    // the surviving prefix is left dirty on purpose.
-                    buf.resize(shape.volume(), 0.0);
-                    return Tensor::from_vec(shape.clone(), buf)
-                        .expect("arena buffer resized to the shape's volume");
-                }
-            }
-        }
-        Tensor::zeros(shape.clone())
-    }
-
-    /// Releases every tensor whose last forward use was the node at
-    /// topological position `pos` back into its arena bin.
-    fn release_dead(&self, ws: &mut Workspace, values: &mut [Option<Tensor>], pos: usize) {
-        for &dead in self.plan.released_after(pos) {
-            if let Some(tensor) = values[dead].take() {
-                // The planner assigns every transient producer a slot, and
-                // only transient producers appear in the release schedule.
-                let slot = self
-                    .plan
-                    .slot(NodeId::new(dead))
-                    .expect("released tensors always have a plan slot");
-                ws.arena[slot] = Some(tensor.into_vec());
-            }
+    fn fc_params(&self, instr: &Instr) -> Result<(&Tensor, &[f32])> {
+        match self.params.get(instr.op_node) {
+            Some(NodeParams::Fc { weights, bias }) => Ok((weights, bias)),
+            _ => Err(TrainError::Missing(format!("FC parameters for '{}'", instr.name))),
         }
     }
 
-    /// Runs the plan-driven forward pass on a mini-batch: inputs are
-    /// borrowed from the slot vector, transient outputs are written into
-    /// recycled arena buffers and released at their last use.
+    /// Runs the training forward pass on a mini-batch: every normalization
+    /// uses the mini-batch's statistics.
     ///
     /// # Errors
     /// Returns an error if an operation cannot be executed or shapes are
     /// inconsistent with the graph.
     pub fn forward(&self, data: &Tensor, labels: &[usize]) -> Result<ForwardResult> {
-        self.run_forward(data, labels, true, StatsMode::Batch)
+        self.run_tape(data, labels, StatsMode::Batch)
     }
 
-    /// Runs the plan-driven forward pass with *inference* semantics: every
+    /// Runs the forward pass with *inference* semantics: every
     /// normalization uses the executor's running statistics instead of the
     /// mini-batch's, so the output is independent of which samples share
-    /// the batch — exactly what a frozen graph computes.
+    /// the batch — exactly what a frozen graph computes. The result cannot
+    /// drive [`Executor::backward`] or [`Executor::update_running_stats`].
     ///
     /// # Errors
     /// Returns an error if an operation cannot be executed, shapes are
     /// inconsistent with the graph, or a normalization has no running
     /// statistics entry.
     pub fn forward_eval(&self, data: &Tensor, labels: &[usize]) -> Result<ForwardResult> {
-        self.run_forward(data, labels, true, StatsMode::Running)
-    }
-
-    /// The reference forward pass: one freshly allocated buffer per node,
-    /// every output retained until the result is dropped. The planned path
-    /// is bit-identical to this one (see `tests/memory_plan.rs`).
-    ///
-    /// # Errors
-    /// Returns an error if an operation cannot be executed or shapes are
-    /// inconsistent with the graph.
-    pub fn forward_naive(&self, data: &Tensor, labels: &[usize]) -> Result<ForwardResult> {
-        self.run_forward(data, labels, false, StatsMode::Batch)
+        self.run_tape(data, labels, StatsMode::Running)
     }
 
     /// The running statistics of node `id` as kernel-ready [`ChannelStats`].
@@ -406,68 +367,57 @@ impl Executor {
             .ok_or_else(|| TrainError::Missing(format!("running statistics for {id}")))
     }
 
-    fn run_forward(
-        &self,
-        data: &Tensor,
-        labels: &[usize],
-        planned: bool,
-        mode: StatsMode,
-    ) -> Result<ForwardResult> {
-        let data_id = self.data_input()?;
-        let expected = &self.graph.node(data_id)?.output_shape;
-        expected.expect_same(data.shape()).map_err(TrainError::Tensor)?;
-
+    fn run_tape(&self, data: &Tensor, labels: &[usize], mode: StatsMode) -> Result<ForwardResult> {
+        let program = &self.program;
+        program.input_shape().expect_same(data.shape()).map_err(TrainError::Tensor)?;
         let n = self.graph.node_count();
-        let mut values: Vec<Option<Tensor>> = vec![None; n];
         let mut stats: Vec<Option<ChannelStats>> = vec![None; n];
         let mut states: Vec<Option<NodeState>> = vec![None; n];
-        let alias: Vec<Option<usize>> = (0..n)
-            .map(|i| {
-                let id = NodeId::new(i);
-                self.plan.is_alias(id).then(|| self.plan.resolve(id).index())
-            })
-            .collect();
         let mut loss = 0.0f32;
         let mut scores: Option<Tensor> = None;
-        values[data_id.index()] = Some(data.clone());
 
-        // The naive reference path never touches the workspace, so only the
-        // planned path takes the lock (a poisoned lock is recovered — the
-        // workspace is pure scratch, safe to reuse after a panic).
-        let mut ws = planned
-            .then(|| self.workspace.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
+        // A poisoned lock is recovered: the registers are pure scratch,
+        // every instruction overwrites its whole output.
+        let mut ws = self.workspace.lock().unwrap_or_else(PoisonError::into_inner);
+        let regs = &mut ws.registers;
+        regs[program.input_reg()] = Some(data.clone());
 
-        for (pos, &id) in self.plan.order().iter().enumerate() {
-            let node = self.graph.node(id)?;
-            let out = match &node.op {
-                OpKind::Input => {
-                    // Label inputs carry no tensor; the data input is
-                    // pre-seeded.
-                    None
+        for instr in program.instrs() {
+            let id = instr.node;
+            let mut out = instr.take_output(regs);
+            match &instr.kernel {
+                Kernel::Conv { attrs, fused_relu: false, gather } => {
+                    let x = reg_ref(regs, instr, 0)?;
+                    let (w, b) = self.conv_params(instr)?;
+                    if *gather {
+                        conv2d_forward_gather_into(x, w, b, attrs, false, &mut out)?;
+                    } else {
+                        conv2d_forward_into(x, w, b, attrs, &mut out)?;
+                    }
                 }
-                OpKind::Conv2d(a) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let (w, b) = self.conv_params(node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
-                    conv2d_forward_into(x, w, b, a, &mut out)?;
-                    Some(out)
+                Kernel::Relu => relu_forward_into(reg_ref(regs, instr, 0)?, &mut out)?,
+                Kernel::Pool { kind: PoolKind::Max, attrs } => {
+                    // The state keeps only shape + argmax, so the pooled
+                    // output is owned once by the register file.
+                    let (y, state) = max_pool_forward(reg_ref(regs, instr, 0)?, attrs)?;
+                    out = y;
+                    states[id.index()] = Some(NodeState::MaxPool(state));
                 }
-                OpKind::ReluConv(a) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let (w, b) = self.conv_params(node)?;
-                    // The clipped activation is computed once: it feeds the
-                    // convolution and is then moved (not re-cloned) into the
-                    // node state for the backward pass.
-                    let clipped = relu_forward(x);
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
-                    conv2d_forward_into(&clipped, w, b, a, &mut out)?;
-                    states[id.index()] = Some(NodeState::ClippedInput(clipped));
-                    Some(out)
+                Kernel::Pool { kind: PoolKind::Average, attrs } => {
+                    avg_pool_forward_into(reg_ref(regs, instr, 0)?, attrs, &mut out)?;
                 }
-                OpKind::ConvStats { conv: a, .. } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let (w, b) = self.conv_params(node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                Kernel::GlobalAvgPool => {
+                    global_avg_pool_forward_into(reg_ref(regs, instr, 0)?, &mut out)?;
+                }
+                Kernel::Concat => concat_forward_into(&reg_refs(regs, instr)?, &mut out)?,
+                Kernel::EltwiseSum => eltwise_sum_forward_into(&reg_refs(regs, instr)?, &mut out)?,
+                Kernel::FullyConnected => {
+                    let (w, b) = self.fc_params(instr)?;
+                    fc_forward_into(reg_ref(regs, instr, 0)?, w, b, &mut out)?;
+                }
+                Kernel::Train(OpKind::ConvStats { conv: a, .. }) => {
+                    let x = reg_ref(regs, instr, 0)?;
+                    let (w, b) = self.conv_params(instr)?;
                     let s = match mode {
                         StatsMode::Batch => conv2d_forward_with_stats_into(x, w, b, a, &mut out)?,
                         StatsMode::Running => {
@@ -479,68 +429,63 @@ impl Executor {
                         }
                     };
                     stats[id.index()] = Some(s);
-                    Some(out)
                 }
-                OpKind::BatchNorm(attrs) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let p = self.bn_params(node)?;
+                Kernel::Train(OpKind::ReluConv(a)) => {
+                    let x = reg_ref(regs, instr, 0)?;
+                    let (w, b) = self.conv_params(instr)?;
+                    // The clipped activation is computed once: it feeds the
+                    // convolution and is then moved into the node state for
+                    // the backward pass.
+                    let mut clipped = Tensor::zeros(x.shape().clone());
+                    relu_forward_into(x, &mut clipped)?;
+                    conv2d_forward_into(&clipped, w, b, a, &mut out)?;
+                    states[id.index()] = Some(NodeState::ClippedInput(clipped));
+                }
+                Kernel::Train(OpKind::BatchNorm(attrs)) => {
+                    let x = reg_ref(regs, instr, 0)?;
                     let s = match mode {
                         StatsMode::Batch => bn_statistics(x, attrs.one_pass_stats)?,
                         StatsMode::Running => self.running_channel_stats(id)?,
                     };
                     stats[id.index()] = Some(s.clone());
-                    let mut y = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
-                    let x_hat = bn_normalize_into(x, &s, p, attrs.epsilon, &mut y)?;
+                    let x_hat =
+                        bn_normalize_into(x, &s, self.bn_params(instr)?, attrs.epsilon, &mut out)?;
                     states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
-                    Some(y)
                 }
-                OpKind::SubBnStats(attrs) => {
+                Kernel::Train(OpKind::SubBnStats(attrs)) => {
                     let s = match mode {
                         StatsMode::Batch => {
-                            let x = input_value(&self.plan, &values, node, 0)?;
-                            bn_statistics(x, attrs.one_pass_stats)?
+                            bn_statistics(reg_ref(regs, instr, 0)?, attrs.one_pass_stats)?
                         }
                         StatsMode::Running => self.running_channel_stats(id)?,
                     };
-                    // The 2×C summary is assembled directly from the
-                    // mean/var slices.
-                    let mut summary = Vec::with_capacity(2 * s.channels());
-                    summary.extend_from_slice(&s.mean);
-                    summary.extend_from_slice(&s.var);
-                    let summary = Tensor::from_vec(Shape::matrix(2, s.channels()), summary)
-                        .map_err(TrainError::Tensor)?;
+                    // The 2×C summary holds the mean row, then the variance row.
+                    let (mean, var) = out.as_mut_slice().split_at_mut(s.channels());
+                    mean.copy_from_slice(&s.mean);
+                    var.copy_from_slice(&s.var);
                     stats[id.index()] = Some(s);
-                    Some(summary)
                 }
-                OpKind::SubBnNorm(attrs) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let p = self.bn_params(node)?;
-                    let s = node_stats(&stats, node, 1)?.clone();
-                    let mut y = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
-                    let x_hat = bn_normalize_into(x, &s, p, attrs.epsilon, &mut y)?;
+                Kernel::Train(OpKind::SubBnNorm(attrs) | OpKind::NormRelu(attrs)) => {
+                    let x = reg_ref(regs, instr, 0)?;
+                    let s = operand_stats(&stats, instr)?;
+                    let x_hat =
+                        bn_normalize_into(x, &s, self.bn_params(instr)?, attrs.epsilon, &mut out)?;
+                    if matches!(instr.kernel, Kernel::Train(OpKind::NormRelu(_))) {
+                        // The output is saved as the backward ReLU mask;
+                        // clip in place instead of materializing a separate
+                        // post-ReLU copy.
+                        relu_forward_inplace(&mut out);
+                    }
                     states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
-                    Some(y)
                 }
-                OpKind::NormRelu(attrs) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let p = self.bn_params(node)?;
-                    let s = node_stats(&stats, node, 1)?.clone();
-                    // The output is retained as the backward ReLU mask
-                    // (saved outputs have no arena slot); clip in place
-                    // instead of materializing a separate post-ReLU copy.
-                    let mut y = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
-                    let x_hat = bn_normalize_into(x, &s, p, attrs.epsilon, &mut y)?;
-                    relu_forward_inplace(&mut y);
-                    states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
-                    Some(y)
-                }
-                OpKind::NormReluConv { conv: a, bn: attrs }
-                | OpKind::NormReluConvStats { conv: a, bn_in: attrs, .. } => {
-                    let raw = input_value(&self.plan, &values, node, 0)?;
-                    let s = node_stats(&stats, node, 1)?.clone();
-                    let (w, b) = self.conv_params(node)?;
-                    let bn_p = self.bn_params(node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                Kernel::Train(
+                    op @ (OpKind::NormReluConv { conv: a, bn: attrs }
+                    | OpKind::NormReluConvStats { conv: a, bn_in: attrs, .. }),
+                ) => {
+                    let raw = reg_ref(regs, instr, 0)?;
+                    let s = operand_stats(&stats, instr)?;
+                    let (w, b) = self.conv_params(instr)?;
+                    let bn_p = self.bn_params(instr)?;
                     let state = norm_relu_conv_forward_into(
                         raw,
                         &s,
@@ -551,52 +496,16 @@ impl Executor {
                         a,
                         &mut out,
                     )?;
-                    if let OpKind::NormReluConvStats { bn_out, .. } = &node.op {
+                    if let OpKind::NormReluConvStats { bn_out, .. } = op {
                         stats[id.index()] = Some(match mode {
                             StatsMode::Batch => bn_statistics(&out, bn_out.one_pass_stats)?,
                             StatsMode::Running => self.running_channel_stats(id)?,
                         });
                     }
                     states[id.index()] = Some(NodeState::NormReluConv(state));
-                    Some(out)
                 }
-                OpKind::Relu => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
-                    relu_forward_into(x, &mut out)?;
-                    Some(out)
-                }
-                OpKind::Pool { kind, attrs } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    match kind {
-                        PoolKind::Max => {
-                            // The state keeps only shape + argmax, so the
-                            // pooled output is owned once by the slot vector.
-                            let (out, state) = max_pool_forward(x, attrs)?;
-                            states[id.index()] = Some(NodeState::MaxPool(state));
-                            Some(out)
-                        }
-                        PoolKind::Average => {
-                            let mut out =
-                                self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
-                            avg_pool_forward_into(x, attrs, &mut out)?;
-                            Some(out)
-                        }
-                    }
-                }
-                OpKind::GlobalAvgPool => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    Some(global_avg_pool_forward(x)?)
-                }
-                OpKind::Concat => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
-                    concat_forward_into(&refs, &mut out)?;
-                    Some(out)
-                }
-                OpKind::ConcatStats(_) => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                Kernel::Train(OpKind::ConcatStats(_)) => {
+                    let refs = reg_refs(regs, instr)?;
                     let s = match mode {
                         StatsMode::Batch => concat_forward_with_stats_into(&refs, &mut out)?,
                         StatsMode::Running => {
@@ -605,108 +514,84 @@ impl Executor {
                         }
                     };
                     stats[id.index()] = Some(s);
-                    Some(out)
                 }
-                OpKind::Split { .. } => {
-                    // A pointer pass: consumers resolve to the aliased
-                    // producer through the plan, so no tensor is stored.
-                    None
-                }
-                OpKind::EltwiseSum => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
-                    eltwise_sum_forward_into(&refs, &mut out)?;
-                    Some(out)
-                }
-                OpKind::FullyConnected { .. } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let (w, b) = match self.params.get(node.id) {
-                        Some(NodeParams::Fc { weights, bias }) => (weights, bias),
-                        _ => {
-                            return Err(TrainError::Missing(format!(
-                                "FC parameters for '{}'",
-                                node.name
-                            )))
-                        }
-                    };
-                    Some(fc_forward(x, w, b)?)
-                }
-                OpKind::ConvRelu(_) | OpKind::ChannelAffine => {
-                    return Err(TrainError::Unsupported(format!(
-                        "'{}' is an inference-only operator; run frozen graphs on the \
-                         bnff-serve executor",
-                        node.name
-                    )));
-                }
-                OpKind::SoftmaxLoss => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                Kernel::Train(OpKind::SoftmaxLoss) => {
+                    let x = reg_ref(regs, instr, 0)?;
                     let state = softmax_loss_forward(x, labels)?;
                     loss = state.loss;
                     scores = Some(x.clone());
+                    out.as_mut_slice()[0] = loss;
                     states[id.index()] = Some(NodeState::Softmax(state));
-                    Some(Tensor::from_slice(&[loss]))
                 }
-            };
-            if let Some(out) = out {
-                values[id.index()] = Some(out);
+                _ => {
+                    return Err(TrainError::Unsupported(format!(
+                        "'{}' is an inference-only operator; run frozen graphs on the \
+                         bnff-serve executor",
+                        instr.name
+                    )));
+                }
             }
-            if let Some(ws) = ws.as_deref_mut() {
-                self.release_dead(ws, &mut values, pos);
-            }
+            regs[instr.out] = Some(out);
         }
 
+        // The pinned registers hold exactly the values backward re-reads:
+        // hand them over to the result (the next pass refills them).
+        let mut saved: Vec<Option<Tensor>> = vec![None; n];
+        let written = program.instrs().iter().map(|i| (i.node, i.out));
+        for (node, reg) in
+            std::iter::once((program.input_node(), program.input_reg())).chain(written)
+        {
+            if self.plan.is_saved(node) {
+                saved[node.index()] = regs[reg].take();
+            }
+        }
         let scores = scores.ok_or_else(|| TrainError::Missing("softmax loss node".to_string()))?;
         let acc = accuracy(&scores, labels)?;
         Ok(ForwardResult {
             loss,
             accuracy: acc,
             scores,
-            values,
-            alias,
+            saved,
             stats,
             states,
             labels: labels.to_vec(),
+            mode,
         })
     }
 
-    /// Runs the backward pass, producing parameter gradients. Gradient
-    /// buffers are released into the executor's pool as soon as a node's
-    /// backward has consumed them.
+    /// Runs the backward pass, walking the tape in reverse and producing
+    /// parameter gradients. Gradient buffers are released into the
+    /// executor's pool as soon as an instruction's backward has consumed
+    /// them.
     ///
     /// # Errors
-    /// Returns an error if the forward result does not match this graph.
+    /// Returns [`TrainError::InvalidArgument`] for the result of an
+    /// eval-mode forward, and an error if the forward result does not match
+    /// this graph.
     pub fn backward(&self, fwd: &ForwardResult) -> Result<Gradients> {
+        fwd.expect_batch_stats("backward")?;
         let n = self.graph.node_count();
         let mut d_vals: Vec<Option<Tensor>> = vec![None; n];
         let mut per_node: HashMap<usize, NodeParamGrads> = HashMap::new();
-        let data_id = self.data_input()?;
 
-        let mut ws = self.workspace.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut ws = self.workspace.lock().unwrap_or_else(PoisonError::into_inner);
         let pool = &mut ws.pool;
 
-        for &id in self.plan.order().iter().rev() {
-            let node = self.graph.node(id)?;
-            match &node.op {
-                OpKind::SoftmaxLoss => {
-                    let state = match states_ref(&fwd.states, id) {
-                        Some(NodeState::Softmax(s)) => s,
-                        _ => return Err(TrainError::Missing("softmax state".to_string())),
+        for instr in self.program.instrs().iter().rev() {
+            let id = instr.node;
+            let inputs = &instr.input_nodes;
+            match &instr.kernel {
+                Kernel::Train(OpKind::SoftmaxLoss) => {
+                    let Some(NodeState::Softmax(state)) = fwd.state(instr) else {
+                        return Err(TrainError::Missing("softmax state".to_string()));
                     };
                     let d_scores = softmax_loss_backward(state, &fwd.labels)?;
-                    accumulate(&mut d_vals, node.inputs[0], d_scores)?;
+                    accumulate(&mut d_vals, inputs[0], d_scores)?;
+                    continue;
                 }
-                OpKind::Input => {}
-                OpKind::Split { .. } => {
-                    // The gradient flows through unchanged; move it rather
-                    // than copying.
+                Kernel::EltwiseSum => {
                     if let Some(grad) = d_vals[id.index()].take() {
-                        accumulate(&mut d_vals, node.inputs[0], grad)?;
-                    }
-                }
-                OpKind::EltwiseSum => {
-                    if let Some(grad) = d_vals[id.index()].take() {
-                        let (last, rest) =
-                            node.inputs.split_last().expect("eltwise sum has inputs");
+                        let (last, rest) = inputs.split_last().expect("eltwise sum has inputs");
                         for input in rest {
                             // Occupied slots accumulate by reference; only a
                             // first insertion pays for a copy.
@@ -714,284 +599,185 @@ impl Executor {
                         }
                         accumulate(&mut d_vals, *last, grad)?;
                     }
+                    continue;
+                }
+                _ => {}
+            }
+            let Some(grad) = d_vals[id.index()].take() else {
+                continue;
+            };
+            let missing_state =
+                || TrainError::Missing(format!("forward state of '{}'", instr.name));
+            let in_shape = || self.graph.node(inputs[0]).map(|n| &n.output_shape);
+            // Each arm yields the gradient of its first operand and its
+            // parameter gradients.
+            let (d_x, param_grads) = match &instr.kernel {
+                Kernel::Conv { attrs: a, fused_relu: false, .. }
+                | Kernel::Train(OpKind::ConvStats { conv: a, .. }) => {
+                    let x = fwd.operand(instr, 0)?;
+                    let (w, b) = self.conv_params(instr)?;
+                    // The input gradient accumulates into a zeroed buffer
+                    // recycled from the pool.
+                    let mut d_x = pool.take_tensor(x.shape().clone());
+                    conv2d_backward_input_into(&grad, w, a, &mut d_x)?;
+                    let (d_weights, d_bias) = conv2d_backward_weights(x, &grad, a, b.is_some())?;
+                    (Some(d_x), Some(NodeParamGrads::Conv { d_weights, d_bias }))
+                }
+                Kernel::Train(OpKind::ReluConv(a)) => {
+                    let Some(NodeState::ClippedInput(clipped)) = fwd.state(instr) else {
+                        return Err(missing_state());
+                    };
+                    let (w, b) = self.conv_params(instr)?;
+                    let mut d_clipped = pool.take_tensor(clipped.shape().clone());
+                    conv2d_backward_input_into(&grad, w, a, &mut d_clipped)?;
+                    let (d_weights, d_bias) =
+                        conv2d_backward_weights(clipped, &grad, a, b.is_some())?;
+                    let d_x = relu_backward(&d_clipped, fwd.operand(instr, 0)?)?;
+                    pool.reclaim(d_clipped);
+                    (Some(d_x), Some(NodeParamGrads::Conv { d_weights, d_bias }))
+                }
+                Kernel::Train(
+                    OpKind::NormReluConv { conv: a, bn: attrs }
+                    | OpKind::NormReluConvStats { conv: a, bn_in: attrs, .. },
+                ) => {
+                    let Some(NodeState::NormReluConv(state)) = fwd.state(instr) else {
+                        return Err(missing_state());
+                    };
+                    let (w, b) = self.conv_params(instr)?;
+                    let bn_p = self.bn_params(instr)?;
+                    let g = norm_relu_conv_backward(
+                        &grad,
+                        state,
+                        bn_p,
+                        attrs.epsilon,
+                        w,
+                        a,
+                        b.is_some(),
+                    )?;
+                    let param_grads = NodeParamGrads::ConvBn {
+                        d_weights: g.d_weights,
+                        d_bias: g.d_bias,
+                        d_gamma: g.d_bn.d_gamma,
+                        d_beta: g.d_bn.d_beta,
+                    };
+                    (Some(g.d_raw), Some(param_grads))
+                }
+                Kernel::Train(
+                    op @ (OpKind::BatchNorm(attrs)
+                    | OpKind::SubBnNorm(attrs)
+                    | OpKind::NormRelu(attrs)),
+                ) => {
+                    let Some(NodeState::Bn(state)) = fwd.state(instr) else {
+                        return Err(missing_state());
+                    };
+                    let (d_x, g) = if let OpKind::NormRelu(_) = op {
+                        // The saved output doubles as the ReLU mask.
+                        let y = fwd.output(id).ok_or_else(missing_state)?;
+                        let d_post_bn = relu_backward(&grad, y)?;
+                        bn_backward(&d_post_bn, state, self.bn_params(instr)?, attrs.epsilon)?
+                    } else {
+                        bn_backward(&grad, state, self.bn_params(instr)?, attrs.epsilon)?
+                    };
+                    (Some(d_x), Some(NodeParamGrads::Bn { d_gamma: g.d_gamma, d_beta: g.d_beta }))
+                }
+                // The statistics path carries no independent gradient: the
+                // normalization backward already differentiates through
+                // mean/variance.
+                Kernel::Train(OpKind::SubBnStats(_)) => (None, None),
+                Kernel::Relu => (Some(relu_backward(&grad, fwd.operand(instr, 0)?)?), None),
+                // Pooling backward needs only the input *shape*, which the
+                // graph records; the input tensor was not retained.
+                Kernel::Pool { kind: PoolKind::Max, .. } => {
+                    let Some(NodeState::MaxPool(state)) = fwd.state(instr) else {
+                        return Err(missing_state());
+                    };
+                    (Some(max_pool_backward(&grad, state, in_shape()?)?), None)
+                }
+                Kernel::Pool { kind: PoolKind::Average, attrs } => {
+                    (Some(avg_pool_backward(&grad, in_shape()?, attrs)?), None)
+                }
+                Kernel::GlobalAvgPool => {
+                    (Some(global_avg_pool_backward(&grad, in_shape()?)?), None)
+                }
+                Kernel::Concat | Kernel::Train(OpKind::ConcatStats(_)) => {
+                    let shapes = inputs
+                        .iter()
+                        .map(|i| self.graph.node(*i).map(|n| n.output_shape.clone()))
+                        .collect::<bnff_graph::Result<Vec<_>>>()?;
+                    for (input, g) in inputs.iter().zip(concat_backward(&grad, &shapes)?) {
+                        accumulate(&mut d_vals, *input, g)?;
+                    }
+                    (None, None)
+                }
+                Kernel::FullyConnected => {
+                    let (w, _) = self.fc_params(instr)?;
+                    let (d_x, d_weights, d_bias) = fc_backward(fwd.operand(instr, 0)?, w, &grad)?;
+                    (Some(d_x), Some(NodeParamGrads::Fc { d_weights, d_bias }))
                 }
                 _ => {
-                    let Some(grad) = d_vals[id.index()].take() else {
-                        continue;
-                    };
-                    match &node.op {
-                        OpKind::Conv2d(a) | OpKind::ConvStats { conv: a, .. } => {
-                            let x = fwd.input_tensor(node, 0)?;
-                            let (w, b) = self.conv_params(node)?;
-                            // The input gradient accumulates into a zeroed
-                            // buffer recycled from the pool.
-                            let mut d_x =
-                                Tensor::from_vec(x.shape().clone(), pool.take(x.shape().volume()))
-                                    .map_err(TrainError::Tensor)?;
-                            conv2d_backward_input_into(&grad, w, a, &mut d_x)?;
-                            let (d_w, d_b) = conv2d_backward_weights(x, &grad, a, b.is_some())?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Conv { d_weights: d_w, d_bias: d_b },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::ReluConv(a) => {
-                            let x = fwd.input_tensor(node, 0)?;
-                            // The forward pass saved the clipped input; only
-                            // a stale result (never produced by this
-                            // executor) forces a recompute.
-                            let recomputed;
-                            let clipped: &Tensor = match states_ref(&fwd.states, id) {
-                                Some(NodeState::ClippedInput(t)) => t,
-                                _ => {
-                                    recomputed = relu_forward(x);
-                                    &recomputed
-                                }
-                            };
-                            let (w, b) = self.conv_params(node)?;
-                            let mut d_clipped = Tensor::from_vec(
-                                clipped.shape().clone(),
-                                pool.take(clipped.shape().volume()),
-                            )
-                            .map_err(TrainError::Tensor)?;
-                            conv2d_backward_input_into(&grad, w, a, &mut d_clipped)?;
-                            let (d_w, d_b) =
-                                conv2d_backward_weights(clipped, &grad, a, b.is_some())?;
-                            let d_x = relu_backward(&d_clipped, x)?;
-                            pool.give(d_clipped.into_vec());
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Conv { d_weights: d_w, d_bias: d_b },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::NormReluConv { conv: a, bn: attrs }
-                        | OpKind::NormReluConvStats { conv: a, bn_in: attrs, .. } => {
-                            let state = match states_ref(&fwd.states, id) {
-                                Some(NodeState::NormReluConv(s)) => s,
-                                _ => {
-                                    return Err(TrainError::Missing(format!(
-                                        "fused state for '{}'",
-                                        node.name
-                                    )))
-                                }
-                            };
-                            let (w, b) = self.conv_params(node)?;
-                            let bn_p = self.bn_params(node)?;
-                            let grads = norm_relu_conv_backward(
-                                &grad,
-                                state,
-                                bn_p,
-                                attrs.epsilon,
-                                w,
-                                a,
-                                b.is_some(),
-                            )?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::ConvBn {
-                                    d_weights: grads.d_weights,
-                                    d_bias: grads.d_bias,
-                                    d_gamma: grads.d_bn.d_gamma,
-                                    d_beta: grads.d_bn.d_beta,
-                                },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], grads.d_raw)?;
-                        }
-                        OpKind::BatchNorm(attrs) | OpKind::SubBnNorm(attrs) => {
-                            let state = match states_ref(&fwd.states, id) {
-                                Some(NodeState::Bn(s)) => s,
-                                _ => {
-                                    return Err(TrainError::Missing(format!(
-                                        "BN state for '{}'",
-                                        node.name
-                                    )))
-                                }
-                            };
-                            let p = self.bn_params(node)?;
-                            let (d_x, g) = bn_backward(&grad, state, p, attrs.epsilon)?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Bn { d_gamma: g.d_gamma, d_beta: g.d_beta },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::NormRelu(attrs) => {
-                            let state = match states_ref(&fwd.states, id) {
-                                Some(NodeState::Bn(s)) => s,
-                                _ => {
-                                    return Err(TrainError::Missing(format!(
-                                        "BN state for '{}'",
-                                        node.name
-                                    )))
-                                }
-                            };
-                            let p = self.bn_params(node)?;
-                            let y = fwd
-                                .output(id)
-                                .ok_or_else(|| TrainError::Missing("NormRelu output".into()))?;
-                            let d_post_bn = relu_backward(&grad, y)?;
-                            let (d_x, g) = bn_backward(&d_post_bn, state, p, attrs.epsilon)?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Bn { d_gamma: g.d_gamma, d_beta: g.d_beta },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::SubBnStats(_) => {
-                            // The statistics path carries no independent
-                            // gradient: the normalization backward already
-                            // differentiates through mean/variance.
-                        }
-                        OpKind::Relu => {
-                            let x = fwd.input_tensor(node, 0)?;
-                            let d_x = relu_backward(&grad, x)?;
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::Pool { kind, attrs } => {
-                            // Pooling backward needs only the input *shape*,
-                            // which the graph records; the input tensor
-                            // itself was not retained.
-                            let in_shape = self.input_shape(node, 0)?;
-                            let d_x = match kind {
-                                PoolKind::Max => {
-                                    let state = match states_ref(&fwd.states, id) {
-                                        Some(NodeState::MaxPool(s)) => s,
-                                        _ => {
-                                            return Err(TrainError::Missing(format!(
-                                                "max pool state for '{}'",
-                                                node.name
-                                            )))
-                                        }
-                                    };
-                                    max_pool_backward(&grad, state, &in_shape)?
-                                }
-                                PoolKind::Average => avg_pool_backward(&grad, &in_shape, attrs)?,
-                            };
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::GlobalAvgPool => {
-                            let in_shape = self.input_shape(node, 0)?;
-                            let d_x = global_avg_pool_backward(&grad, &in_shape)?;
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::Concat | OpKind::ConcatStats(_) => {
-                            let shapes: Vec<Shape> = node
-                                .inputs
-                                .iter()
-                                .map(|i| self.graph.node(*i).map(|n| n.output_shape.clone()))
-                                .collect::<bnff_graph::Result<_>>()?;
-                            let grads = concat_backward(&grad, &shapes)?;
-                            for (input, g) in node.inputs.iter().zip(grads) {
-                                accumulate(&mut d_vals, *input, g)?;
-                            }
-                        }
-                        OpKind::FullyConnected { .. } => {
-                            let x = fwd.input_tensor(node, 0)?;
-                            let w = match self.params.get(node.id) {
-                                Some(NodeParams::Fc { weights, .. }) => weights,
-                                _ => {
-                                    return Err(TrainError::Missing(format!(
-                                        "FC parameters for '{}'",
-                                        node.name
-                                    )))
-                                }
-                            };
-                            let (d_x, d_w, d_b) = fc_backward(x, w, &grad)?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Fc { d_weights: d_w, d_bias: d_b },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::ConvRelu(_) | OpKind::ChannelAffine => {
-                            return Err(TrainError::Unsupported(format!(
-                                "'{}' is an inference-only operator with no backward pass",
-                                node.name
-                            )));
-                        }
-                        OpKind::Input
-                        | OpKind::SoftmaxLoss
-                        | OpKind::Split { .. }
-                        | OpKind::EltwiseSum => {
-                            unreachable!("handled above")
-                        }
-                    }
-                    // This node's incoming gradient is fully consumed;
-                    // recycle its storage for the next allocation.
-                    pool.give(grad.into_vec());
+                    return Err(TrainError::Unsupported(format!(
+                        "'{}' is an inference-only operator with no backward pass",
+                        instr.name
+                    )));
                 }
+            };
+            if let Some(g) = param_grads {
+                per_node.insert(id.index(), g);
             }
+            if let Some(d_x) = d_x {
+                accumulate(&mut d_vals, inputs[0], d_x)?;
+            }
+            // This instruction's incoming gradient is fully consumed;
+            // recycle its storage for the next allocation.
+            pool.reclaim(grad);
         }
 
-        Ok(Gradients { per_node, d_data: d_vals[data_id.index()].take() })
+        Ok(Gradients { per_node, d_data: d_vals[self.program.input_node().index()].take() })
     }
 }
 
-/// Borrows the resolved output tensor of a node's `idx`-th input.
-fn input_value<'a>(
-    plan: &ExecutionPlan,
-    values: &'a [Option<Tensor>],
-    node: &Node,
-    idx: usize,
-) -> Result<&'a Tensor> {
-    let input = node.inputs[idx];
-    values[plan.resolve(input).index()]
-        .as_ref()
-        .ok_or_else(|| TrainError::Missing(format!("output of {input}")))
+/// Borrows the value in an instruction's `idx`-th input register.
+fn reg_ref<'a>(regs: &'a [Option<Tensor>], instr: &Instr, idx: usize) -> Result<&'a Tensor> {
+    regs[instr.inputs[idx]].as_ref().ok_or_else(|| {
+        TrainError::Missing(format!("register {} read by '{}'", instr.inputs[idx], instr.name))
+    })
 }
 
-/// Borrows the resolved output tensors of all of a node's inputs.
-fn input_values<'a>(
-    plan: &ExecutionPlan,
-    values: &'a [Option<Tensor>],
-    node: &Node,
-) -> Result<Vec<&'a Tensor>> {
-    (0..node.inputs.len()).map(|i| input_value(plan, values, node, i)).collect()
+/// Borrows the values in all of an instruction's input registers.
+fn reg_refs<'a>(regs: &'a [Option<Tensor>], instr: &Instr) -> Result<Vec<&'a Tensor>> {
+    (0..instr.inputs.len()).map(|i| reg_ref(regs, instr, i)).collect()
 }
 
-/// The mini-batch statistics attached to a node's `idx`-th input.
-fn node_stats<'a>(
-    stats: &'a [Option<ChannelStats>],
-    node: &Node,
-    idx: usize,
-) -> Result<&'a ChannelStats> {
-    stats[node.inputs[idx].index()]
-        .as_ref()
-        .ok_or_else(|| TrainError::Missing(format!("statistics for '{}'", node.name)))
-}
-
-fn states_ref(states: &[Option<NodeState>], id: NodeId) -> Option<&NodeState> {
-    states.get(id.index()).and_then(Option::as_ref)
+/// The statistics an instruction's second operand (a statistics-bearing
+/// node) produced earlier in the pass.
+fn operand_stats(stats: &[Option<ChannelStats>], instr: &Instr) -> Result<ChannelStats> {
+    stats[instr.input_nodes[1].index()]
+        .clone()
+        .ok_or_else(|| TrainError::Missing(format!("statistics for '{}'", instr.name)))
 }
 
 /// Adds `grad` into the gradient slot of `id`, cloning it only when the
 /// slot is still empty.
 fn accumulate_ref(d_vals: &mut [Option<Tensor>], id: NodeId, grad: &Tensor) -> Result<()> {
-    match d_vals[id.index()].as_mut() {
-        Some(existing) => {
-            ops::add_assign(existing, grad).map_err(TrainError::Tensor)?;
-        }
-        None => {
-            d_vals[id.index()] = Some(grad.clone());
+    match &mut d_vals[id.index()] {
+        Some(existing) => ops::add_assign(existing, grad).map_err(TrainError::Tensor),
+        slot => {
+            *slot = Some(grad.clone());
+            Ok(())
         }
     }
-    Ok(())
 }
 
 /// Adds `grad` into the gradient slot of `id`, moving it in when the slot
 /// is still empty.
 fn accumulate(d_vals: &mut [Option<Tensor>], id: NodeId, grad: Tensor) -> Result<()> {
-    match d_vals[id.index()].as_mut() {
-        Some(existing) => {
-            ops::add_assign(existing, &grad).map_err(TrainError::Tensor)?;
-        }
-        None => {
-            d_vals[id.index()] = Some(grad);
+    match &mut d_vals[id.index()] {
+        Some(existing) => ops::add_assign(existing, &grad).map_err(TrainError::Tensor),
+        slot => {
+            *slot = Some(grad);
+            Ok(())
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1001,6 +787,7 @@ mod tests {
     use bnff_graph::op::Conv2dAttrs;
     use bnff_graph::passes::{BnffPass, Pass};
     use bnff_tensor::init::Initializer;
+    use bnff_tensor::Shape;
 
     fn tiny_classifier(batch: usize) -> Graph {
         let mut b = GraphBuilder::new("tiny");
@@ -1052,17 +839,79 @@ mod tests {
         assert!(grads.d_data.is_some());
     }
 
+    /// One training step (forward + backward) on a seeded batch of 4.
+    fn step(exec: &Executor, seed: u64) -> (ForwardResult, Gradients) {
+        let (data, labels) = random_batch(4, 4, seed);
+        let fwd = exec.forward(&data, &labels).unwrap();
+        let grads = exec.backward(&fwd).unwrap();
+        (fwd, grads)
+    }
+
+    /// Asserts two training steps are bit-identical.
+    fn assert_step_bit_identical(a: (ForwardResult, Gradients), b: (ForwardResult, Gradients)) {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.0.loss.to_bits(), b.0.loss.to_bits());
+        assert_eq!(a.0.accuracy.to_bits(), b.0.accuracy.to_bits());
+        assert_eq!(bits(&a.0.scores), bits(&b.0.scores));
+        assert_eq!(a.1.per_node.len(), b.1.per_node.len());
+        for (idx, ga) in &a.1.per_node {
+            assert_eq!(format!("{ga:?}"), format!("{:?}", b.1.per_node[idx]), "node {idx}");
+        }
+        assert_eq!(bits(a.1.d_data.as_ref().unwrap()), bits(b.1.d_data.as_ref().unwrap()));
+    }
+
     #[test]
     fn planned_and_naive_paths_are_bit_identical() {
+        // The reference is a fresh executor; the checked one first runs a
+        // step on different data, so every recycled register is dirty.
         let exec = Executor::new(tiny_classifier(4), 11).unwrap();
-        let (data, labels) = random_batch(4, 4, 12);
-        let planned = exec.forward(&data, &labels).unwrap();
-        let naive = exec.forward_naive(&data, &labels).unwrap();
-        assert_eq!(planned.loss.to_bits(), naive.loss.to_bits());
-        assert_eq!(planned.scores.as_slice(), naive.scores.as_slice());
-        // A second planned step over recycled buffers must not drift.
-        let again = exec.forward(&data, &labels).unwrap();
-        assert_eq!(again.loss.to_bits(), planned.loss.to_bits());
+        let fresh = Executor::with_state(
+            exec.graph().clone(),
+            exec.params().clone(),
+            exec.running_stats().clone(),
+        )
+        .unwrap();
+        step(&exec, 99);
+        assert_step_bit_identical(step(&exec, 12), step(&fresh, 12));
+    }
+
+    #[test]
+    fn nan_filled_registers_do_not_change_results() {
+        // Every kernel overwrites its whole output register, so a register
+        // file full of NaN must not leak into any result.
+        let baseline = tiny_classifier(4);
+        for graph in [baseline.clone(), BnffPass::new().run(&baseline).unwrap()] {
+            let exec = Executor::new(graph, 19).unwrap();
+            let fresh = exec.clone();
+            {
+                let mut ws = exec.workspace.lock().unwrap();
+                for (reg, &bytes) in exec.program.reg_bytes().iter().enumerate() {
+                    let len = bytes / 4;
+                    ws.registers[reg] =
+                        Some(Tensor::from_vec(Shape::vector(len), vec![f32::NAN; len]).unwrap());
+                }
+            }
+            let checked = step(&exec, 20);
+            assert!(checked.0.loss.is_finite());
+            assert_step_bit_identical(checked, step(&fresh, 20));
+        }
+    }
+
+    #[test]
+    fn backward_and_running_update_reject_eval_results() {
+        // An eval-mode result was normalized with running statistics; BN's
+        // batch-statistics backward formula does not apply to it.
+        let mut exec = Executor::new(tiny_classifier(4), 21).unwrap();
+        let (data, labels) = random_batch(4, 4, 22);
+        let eval = exec.forward_eval(&data, &labels).unwrap();
+        assert!(matches!(exec.backward(&eval), Err(TrainError::InvalidArgument(_))));
+        let before = format!("{:?}", exec.running_stats());
+        assert!(matches!(exec.update_running_stats(&eval), Err(TrainError::InvalidArgument(_))));
+        assert_eq!(format!("{:?}", exec.running_stats()), before);
+        // Training-mode results still drive both.
+        let fwd = exec.forward(&data, &labels).unwrap();
+        exec.backward(&fwd).unwrap();
+        exec.update_running_stats(&fwd).unwrap();
     }
 
     #[test]
@@ -1075,21 +924,23 @@ mod tests {
         assert!(fwd.output(find("conv1")).is_none());
         // relu1's output is conv2's saved ifmap.
         assert!(fwd.output(find("relu1")).is_some());
-        // The naive path retains everything.
-        let naive = exec.forward_naive(&data, &labels).unwrap();
-        assert!(naive.output(find("conv1")).is_some());
+        // Every saved value is handed over, and nothing else.
+        for node in exec.graph().nodes() {
+            assert_eq!(
+                fwd.output(node.id).is_some(),
+                exec.plan().is_saved(node.id),
+                "{}",
+                node.name
+            );
+        }
     }
 
     #[test]
     fn workspace_recycles_buffers_across_steps() {
         let exec = Executor::new(tiny_classifier(4), 15).unwrap();
-        let (data, labels) = random_batch(4, 4, 16);
-        let fwd = exec.forward(&data, &labels).unwrap();
-        let _ = exec.backward(&fwd).unwrap();
-        drop(fwd);
+        step(&exec, 16);
         let before = exec.workspace.lock().unwrap().pool.hits();
-        let fwd = exec.forward(&data, &labels).unwrap();
-        let _ = exec.backward(&fwd).unwrap();
+        step(&exec, 16);
         let after = exec.workspace.lock().unwrap().pool.hits();
         assert!(after > before, "second step should reuse pooled gradient buffers");
     }
@@ -1153,10 +1004,12 @@ mod tests {
             exec.graph().nodes().find(|n| matches!(n.op, OpKind::ConvStats { .. })).unwrap().id;
         let fwd = exec.forward(&data, &labels).unwrap();
         assert!(fwd.stats(stats_node).is_some());
-        // The naive reference path still exposes every intermediate output.
-        let naive = exec.forward_naive(&data, &labels).unwrap();
-        assert!(naive.stats(stats_node).is_some());
-        assert!(naive.output(stats_node).is_some());
+        // The eval pass hands consumers the running statistics instead.
+        let eval = exec.forward_eval(&data, &labels).unwrap();
+        let running = exec.running_stats().get(stats_node).unwrap();
+        assert_eq!(eval.stats(stats_node).unwrap().mean, running.mean);
+        // The ConvStats output only feeds normalizations: nothing saves it.
+        assert!(fwd.output(stats_node).is_none());
     }
 
     #[test]
@@ -1165,5 +1018,7 @@ mod tests {
         let plan = exec.plan();
         assert!(plan.planned_peak_bytes() <= plan.naive_total_bytes());
         assert!(plan.slot_count() >= 1);
+        // The tape's register file: one register per slot, one per saved value.
+        assert!(exec.program.reg_count() > plan.slot_count());
     }
 }

@@ -1,8 +1,9 @@
 //! # bnff-train — numeric training substrate
 //!
 //! This crate runs the real arithmetic of the model graphs: an
-//! [`Executor`] walks a graph in topological order, dispatching every node
-//! (including the fused BNFF operators) to the kernels in `bnff-kernels`,
+//! [`Executor`] compiles a graph to a linear instruction tape and walks it,
+//! dispatching every instruction (including the fused BNFF operators) to
+//! the kernels in `bnff-kernels`,
 //! keeps the per-node state the backward pass needs, and produces
 //! parameter gradients; an [`SgdOptimizer`] applies them. Synthetic labelled datasets ([`data`]) make end-to-end
 //! training runs self-contained, and [`validate`] holds the numerical

@@ -1,12 +1,14 @@
-//! Workspace integration tests for the memory planner and the plan-driven
-//! executor: buffer reuse must be invisible to the numerics (bit-identical
-//! losses and gradients against the naive reference executor, across thread
-//! counts and across training steps), and the planned peak activation
-//! footprint must beat naive per-node allocation on the model zoo.
+//! Workspace integration tests for the memory planner and the tape-walking
+//! training executor: register reuse must be invisible to the numerics
+//! (bit-identical losses and gradients against a fresh executor whose
+//! registers were never written, across thread counts and across training
+//! steps), every zoo model must lower to a training tape, and the planned
+//! peak activation footprint must beat naive per-node allocation on the
+//! model zoo.
 
 use bnff::core::{BnffOptimizer, FusionLevel};
 use bnff::graph::plan::ExecutionPlan;
-use bnff::graph::Graph;
+use bnff::graph::{Graph, LinearProgram};
 use bnff::models::zoo::{build, Model};
 use bnff::models::{densenet_cifar, resnet_cifar};
 use bnff::parallel::with_threads;
@@ -62,31 +64,45 @@ fn assert_grads_bit_identical(a: &Gradients, b: &Gradients, context: &str) {
     }
 }
 
-/// Runs planned-vs-naive on one graph under one thread count; the planned
-/// path runs twice so cross-step buffer recycling is exercised.
+/// Checks one graph under one thread count. Each step first runs a
+/// training step on *different* data (dirtying every recycled register and
+/// moving the running statistics), then compares the checked executor
+/// against a fresh `Executor::with_state` holding the same parameters and
+/// running statistics: training forward, backward and eval forward must be
+/// bit-identical.
 fn check_equivalence(graph: &Graph, threads: usize, context: &str) {
-    let exec = Executor::new(graph.clone(), 41).unwrap();
+    let mut exec = Executor::new(graph.clone(), 41).unwrap();
     let batch = 6;
     let mut init = Initializer::seeded(42);
-    let data = init.uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
     let labels: Vec<usize> = (0..batch).map(|i| i % 4).collect();
 
     with_threads(threads, || {
-        let naive_fwd = exec.forward_naive(&data, &labels).unwrap();
-        let naive_grads = exec.backward(&naive_fwd).unwrap();
-
         for step in 0..2 {
-            let fwd = exec.forward(&data, &labels).unwrap();
+            let other = init.uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
+            let warm = exec.forward(&other, &labels).unwrap();
+            exec.backward(&warm).unwrap();
+            exec.update_running_stats(&warm).unwrap();
+
+            let reference = Executor::with_state(
+                graph.clone(),
+                exec.params().clone(),
+                exec.running_stats().clone(),
+            )
+            .unwrap();
+            let data = init.uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
             let step_ctx = format!("{context} t{threads} step{step}");
-            assert_eq!(fwd.loss.to_bits(), naive_fwd.loss.to_bits(), "{step_ctx}: loss");
-            assert_eq!(
-                fwd.accuracy.to_bits(),
-                naive_fwd.accuracy.to_bits(),
-                "{step_ctx}: accuracy"
-            );
-            assert_eq!(bits(&fwd.scores), bits(&naive_fwd.scores), "{step_ctx}: scores");
+            let fwd = exec.forward(&data, &labels).unwrap();
+            let ref_fwd = reference.forward(&data, &labels).unwrap();
+            assert_eq!(fwd.loss.to_bits(), ref_fwd.loss.to_bits(), "{step_ctx}: loss");
+            assert_eq!(fwd.accuracy.to_bits(), ref_fwd.accuracy.to_bits(), "{step_ctx}: accuracy");
+            assert_eq!(bits(&fwd.scores), bits(&ref_fwd.scores), "{step_ctx}: scores");
             let grads = exec.backward(&fwd).unwrap();
-            assert_grads_bit_identical(&grads, &naive_grads, &step_ctx);
+            let ref_grads = reference.backward(&ref_fwd).unwrap();
+            assert_grads_bit_identical(&grads, &ref_grads, &step_ctx);
+            let eval = exec.forward_eval(&data, &labels).unwrap();
+            let ref_eval = reference.forward_eval(&data, &labels).unwrap();
+            assert_eq!(eval.loss.to_bits(), ref_eval.loss.to_bits(), "{step_ctx}: eval loss");
+            assert_eq!(bits(&eval.scores), bits(&ref_eval.scores), "{step_ctx}: eval scores");
         }
     });
 }
@@ -119,8 +135,8 @@ fn planned_execution_is_bit_identical_on_resnet_graphs() {
 #[test]
 fn planned_execution_is_bit_identical_with_split_maxpool_and_eltwise() {
     // The zoo's executed models cover conv/BN/ReLU/avg-pool/concat/FC; this
-    // graph adds the remaining executor arms — Split aliasing, max pooling
-    // and the residual element-wise sum — to the planned-vs-naive check.
+    // graph adds the remaining tape instructions — max pooling and the
+    // residual element-wise sum, reading a Split alias — to the check.
     use bnff::graph::builder::GraphBuilder;
     use bnff::graph::op::{Conv2dAttrs, PoolAttrs};
     let mut b = GraphBuilder::new("mixed");
@@ -180,6 +196,31 @@ fn planned_peak_is_strictly_below_naive_for_resnet_and_densenet() {
         );
         // The plan must actually pack transient tensors into shared slots.
         assert!(plan.slot_count() >= 1, "{}: no reuse slots", model.display_name());
+    }
+}
+
+#[test]
+fn every_zoo_model_lowers_to_a_training_tape_at_every_measured_level() {
+    for model in [
+        Model::AlexNet,
+        Model::Vgg16,
+        Model::ResNet18,
+        Model::ResNet50,
+        Model::DenseNet121,
+        Model::DenseNet169,
+        Model::DenseNetCifar,
+        Model::ResNetCifar,
+    ] {
+        let baseline = build(model, 2).unwrap();
+        for level in FusionLevel::measured() {
+            let graph = BnffOptimizer::new(level).apply(&baseline).unwrap();
+            let plan = ExecutionPlan::for_graph(&graph).unwrap();
+            let program = LinearProgram::lower_for_training(&graph, &plan).unwrap_or_else(|e| {
+                panic!("{} at {level:?} does not lower: {e}", model.display_name())
+            });
+            program.validate().unwrap();
+            assert!(!program.is_empty());
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 //! Workspace integration tests for the linear instruction tape: for the
 //! CIFAR-scale zoo models at every measured fusion level (0–3: Baseline,
-//! RCF, RCF+MVF, BNFF), the compiled tape at batch sizes 1, 4 and 8 must
-//! match the per-node interpreted walk of the training executor's eval-mode
-//! forward (`Executor::forward_eval`) within 1e-5 per sample, and give
+//! RCF, RCF+MVF, BNFF), the compiled frozen tape at batch sizes 1, 4 and 8
+//! must match the training tape's eval-mode forward
+//! (`Executor::forward_eval`, unfolded BN with running statistics) within
+//! 1e-5 per sample, and give
 //! **bit-identical** per-sample scores at every batch size and across
 //! `BNFF_THREADS` 1 and 4 — the tape is a dispatch optimization, never a
 //! numerics change.
@@ -52,9 +53,9 @@ fn rows(data: &Tensor, start: usize, n: usize) -> Tensor {
     Tensor::from_vec(Shape::new(dims), values).unwrap()
 }
 
-/// Tape vs interpreted eval walk at batch sizes 1/4/8 and thread counts
-/// 1/4: within 1e-5 of the walk, and bitwise equal per sample across every
-/// batch size and thread count.
+/// Frozen tape vs the training tape's eval forward at batch sizes 1/4/8
+/// and thread counts 1/4: within 1e-5 of the eval forward, and bitwise
+/// equal per sample across every batch size and thread count.
 fn check_tape_matches_interpreted(graph: &Graph, context: &str) {
     let exec = conditioned(graph, 23);
     let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
@@ -62,8 +63,8 @@ fn check_tape_matches_interpreted(graph: &Graph, context: &str) {
     let graph_batch = input_shape.n();
     assert_eq!(8 % graph_batch, 0, "{context}: graph batch must divide 8");
     // Eight samples: the batch-8 tape runs them at once, the batch-4 tape
-    // in two halves, the batch-1 tape one by one; the interpreted walk
-    // runs them at the graph's own batch.
+    // in two halves, the batch-1 tape one by one; the eval forward runs
+    // them at the graph's own batch.
     let samples = {
         let mut dims = input_shape.dims().to_vec();
         dims[0] = 8;
@@ -91,7 +92,7 @@ fn check_tape_matches_interpreted(graph: &Graph, context: &str) {
                     let div = score_divergence(&eval.scores, &tape).unwrap();
                     assert!(
                         div < 1e-5,
-                        "{context} b{batch} t{threads}: tape diverges from interpreted walk by {div}"
+                        "{context} b{batch} t{threads}: tape diverges from the eval forward by {div}"
                     );
                 }
                 match &reference_bits {
