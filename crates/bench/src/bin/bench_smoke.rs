@@ -1,7 +1,7 @@
 //! CI perf smoke: quick-mode measurements of the hot kernels, written as a
 //! machine-readable `BENCH_ci.json` so every push leaves a perf-trajectory
-//! data point (per-kernel ns/iter, GEMM GFLOP/s, and the blocked-vs-
-//! streaming GEMM speedup the cache-blocked engine is accountable for).
+//! data point (per-kernel ns/iter, GEMM GFLOP/s, and the SIMD-over-scalar
+//! ratios the microkernel is accountable for).
 //!
 //! Usage: `cargo run --release --bin bench_smoke [-- OUTPUT.json]`
 //! `BENCH_SMOKE_MS` overrides the per-bench measurement time (default 200).
@@ -14,13 +14,12 @@ use bnff_bench::{print_table, training_step_executors, BenchReport};
 use bnff_core::{BnffOptimizer, FusionLevel};
 use bnff_graph::op::Conv2dAttrs;
 use bnff_kernels::conv::{conv2d_forward_direct, conv2d_forward_into};
-use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
-use bnff_kernels::gemm::{gemm, gemm_nt, gemm_streaming, gemm_tn, pack_pool_reuse};
+use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn, pack_pool_reuse};
 use bnff_kernels::{affine, batchnorm, relu};
 use bnff_parallel::with_threads;
 use bnff_serve::{ServeEngine, ServeMetrics};
 use bnff_tensor::init::Initializer;
-use bnff_tensor::{Shape, Tensor};
+use bnff_tensor::{active_isa, with_isa, Shape, SimdIsa, Tensor};
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
@@ -38,7 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("simd dispatch: {isa}");
 
     // --- GEMM: the acceptance measurement. 256x256x256, one worker, so the
-    // blocked-vs-streaming ratio isolates the packing/blocking win and the
     // scalar-vs-SIMD ratio isolates the microkernel win.
     let n = GEMM_DIM;
     let a: Vec<f32> = (0..n * n).map(|i| ((i * 37 % 13) as f32 - 6.0) * 0.25).collect();
@@ -53,9 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.measure("gemm_256_scalar_1t", Some(gemm_flops), 3, budget, || {
                 gemm(n, n, n, 1.0, &a, &b, 0.0, &mut c).unwrap();
             });
-        });
-        report.measure("gemm_256_streaming_1t", Some(gemm_flops), 3, budget, || {
-            gemm_streaming(n, n, n, 1.0, &a, &b, 0.0, &mut c).unwrap();
         });
         report.measure("gemm_nt_256_blocked_1t", Some(gemm_flops), 3, budget, || {
             gemm_nt(n, n, n, &a, &b, &mut c).unwrap();
@@ -266,9 +261,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let _ = std::fs::remove_dir_all(&load_dir);
 
-    let blocked_speedup =
-        report.speedup("gemm_256_blocked_1t", "gemm_256_streaming_1t").unwrap_or(0.0);
-    report.summarize("gemm_256_blocked_over_streaming", blocked_speedup);
     // SIMD summaries: the dispatch marker (1.0 = the active path is
     // AVX2+FMA; CI skips the SIMD gates when 0), the active-path GFLOP/s
     // floor, and the SIMD-over-scalar ratios.
@@ -337,7 +329,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "simd over scalar — bn forward: {simd_bn:.2}x, relu: {simd_relu:.2}x, \
          affine+relu: {simd_affine:.2}x"
     );
-    println!("blocked GEMM speedup over streaming (256³, 1 thread): {blocked_speedup:.2}x");
     println!(
         "frozen tape speedup over training eval forward (single image): \
          {tape_over_training:.2}x (gate: >= 1.25)"

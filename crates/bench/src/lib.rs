@@ -56,7 +56,7 @@ pub type InterleavedBench<'a> = (&'a str, Option<f64>, &'a mut (dyn FnMut() + 'a
 /// A derived headline number in a [`BenchReport`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SummaryStat {
-    /// Stat id, e.g. `"gemm_256_blocked_over_streaming"`.
+    /// Stat id, e.g. `"simd_over_scalar_gemm_256"`.
     pub name: String,
     /// The value (a ratio, rate or count — see the name).
     pub value: f64,

@@ -10,9 +10,9 @@
 //! `Vec<`[`Instr`]`>` in topological order:
 //!
 //! * each instruction carries a fully-resolved kernel recipe (a [`Kernel`]
-//!   with concrete attributes, the fused-ReLU flag, and — for convolutions —
-//!   the pre-chosen lowering strategy); the training-only operators lower
-//!   to [`Kernel::Train`], which carries the node's `OpKind` unchanged,
+//!   with concrete attributes and the fused-ReLU flag); the training-only
+//!   operators lower to [`Kernel::Train`], which carries the node's `OpKind`
+//!   unchanged,
 //! * operands are *virtual registers* ([`Reg`]): dense indices into a
 //!   register file whose registers come straight from the memory plan —
 //!   one per reuse slot, then one per value the plan pins (a training
@@ -34,11 +34,9 @@
 //! collapses into one fused instruction (bit-exact — the clamp is the same
 //! `max(v, 0)` sweep either way; the convolution case is skipped when the
 //! ReLU's register is one of the convolution's inputs, since a convolution
-//! cannot run in place), and every convolution picks between the
-//! materialized im2col lowering and the gather-fused packing by its
-//! geometry. The peephole never fuses away a value the plan saves for
-//! backward, which keeps it off training tapes (a ReLU's backward re-reads
-//! its input).
+//! cannot run in place). The peephole never fuses away a value the plan
+//! saves for backward, which keeps it off training tapes (a ReLU's backward
+//! re-reads its input).
 //!
 //! [`LinearProgram::validate`] replays the tape symbolically and proves that
 //! no register is read after being clobbered — the register-file analogue of
@@ -73,11 +71,6 @@ pub enum Kernel {
         attrs: Conv2dAttrs,
         /// Clamp the output with a fused ReLU.
         fused_relu: bool,
-        /// Use the gather-fused im2col lowering (window elements packed
-        /// straight from the input sample) instead of materializing the
-        /// column matrix. Chosen at compile time from the geometry; both
-        /// lowerings are bit-identical.
-        gather: bool,
     },
     /// Per-channel affine `y = scale[c]·x + shift[c]`.
     Affine {
@@ -209,16 +202,6 @@ fn node_flops(graph: &Graph, node_id: NodeId) -> Result<u64> {
     })
 }
 
-/// Whether a convolution should use the gather-fused im2col lowering: the
-/// fusion saves one full write + read of the `(C·Kh·Kw) × (Ho·Wo)` column
-/// matrix, which pays off once the matrix is deep (enough reuse per input
-/// element) *and* wide (enough packed strips to amortize the per-strip
-/// window-origin setup). Measured on the serving shapes: the big stride-1
-/// feature-map convs win ~1.25×, shallow stems lose.
-fn gather_pays_off(rows: usize, cols: usize) -> bool {
-    rows >= 64 && cols >= 512
-}
-
 /// The register assigned to a node's (alias-resolved) output tensor.
 fn lookup_reg(reg_of: &[Option<Reg>], plan: &ExecutionPlan, id: NodeId) -> Result<Reg> {
     reg_of[plan.resolve(id).index()].ok_or_else(|| GraphError::PassError {
@@ -283,9 +266,6 @@ impl LinearProgram {
             let (kernel, value_node) = match &node.op {
                 OpKind::Input | OpKind::Split { .. } => continue,
                 OpKind::Conv2d(a) | OpKind::ConvRelu(a) => {
-                    let in_shape = &graph.node(node.inputs[0])?.output_shape;
-                    let rows = in_shape.c() * a.kernel_h * a.kernel_w;
-                    let cols = node.output_shape.h() * node.output_shape.w();
                     let mut fused_relu = matches!(node.op, OpKind::ConvRelu(_));
                     let mut value_node = id;
                     // Fuse a sole-consumer ReLU that executes immediately
@@ -315,9 +295,7 @@ impl LinearProgram {
                             }
                         }
                     }
-                    let kernel =
-                        Kernel::Conv { attrs: *a, fused_relu, gather: gather_pays_off(rows, cols) };
-                    (kernel, value_node)
+                    (Kernel::Conv { attrs: *a, fused_relu }, value_node)
                 }
                 OpKind::ChannelAffine => {
                     // Fuse a sole-consumer ReLU that executes immediately
@@ -676,13 +654,6 @@ mod tests {
                 .iter()
                 .any(|i| matches!(i.kernel, Kernel::Affine { fused_relu: false })));
         }
-    }
-
-    #[test]
-    fn conv_strategy_follows_geometry() {
-        assert!(gather_pays_off(288, 1024));
-        assert!(!gather_pays_off(27, 1024), "shallow stem stays materialized");
-        assert!(!gather_pays_off(288, 64), "narrow maps stay materialized");
     }
 
     #[test]

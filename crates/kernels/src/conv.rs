@@ -111,14 +111,17 @@ fn is_pointwise(attrs: &Conv2dAttrs) -> bool {
 }
 
 /// The production convolution forward pass, into a caller-provided output
-/// tensor: im2col lowering into the cache-blocked packed GEMM, with the
-/// column scratch recycled through the shared pool across samples, calls
-/// and training steps. Pointwise (`1×1`/stride-1/no-pad) convolutions skip
-/// the im2col copy entirely — each input sample already *is* the column
-/// matrix. Every element of `out` is overwritten (the packed GEMM's
-/// `beta == 0` path never reads the recycled buffer); this is the entry
-/// point the tape executors and the fused kernels route their convolutions
-/// through.
+/// tensor: im2col lowering into the cache-blocked packed GEMM. The kernel
+/// picks the lowering from the `(C·Kh·Kw) × (Ho·Wo)` column-matrix
+/// geometry: deep, wide convolutions (at least 64 rows and 512 columns)
+/// gather their windows straight into the GEMM's B-packing, the rest
+/// materialize the column matrix in scratch recycled through a shared pool
+/// across samples, calls and training steps. Pointwise
+/// (`1×1`/stride-1/no-pad) convolutions skip im2col entirely — each input
+/// sample already *is* the column matrix. The lowerings are bit-identical,
+/// so every caller gets the same result whichever one runs. Every element
+/// of `out` is overwritten (the packed GEMM's `beta == 0` path never reads
+/// the recycled buffer).
 ///
 /// # Errors
 /// Returns an error if the shapes (including `out`'s) are inconsistent.
@@ -149,66 +152,15 @@ pub fn conv2d_forward_relu_into(
     conv2d_forward_into_impl(input, weights, bias, attrs, out, true)
 }
 
-/// Convolution forward pass with the im2col lowering **fused into the GEMM's
-/// B-packing**: window elements are gathered straight from the input sample
-/// while the `KC × NR` strips are packed, so the `(C·Kh·Kw) × (Ho·Wo)` column
-/// matrix is never written or re-read. Bit-identical to
-/// [`conv2d_forward_into`] (same microkernel, bitwise-equal packed panels,
-/// same accumulation order, same bias/ReLU epilogues) — this is the entry
-/// point the serving tape dispatches its pre-resolved conv recipes to.
-///
-/// # Errors
-/// Returns an error if the shapes (including `out`'s) are inconsistent.
-pub fn conv2d_forward_gather_into(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-    fuse_relu: bool,
-    out: &mut Tensor,
-) -> Result<()> {
-    let (in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
-    check_bias(bias, attrs)?;
-    let n = input.shape().n();
-    let (h, w) = (input.shape().h(), input.shape().w());
-    let (rows, cols) = col_shape(input.shape(), attrs)?;
-    let expected = Shape::nchw(n, attrs.out_channels, out_h, out_w);
-    if out.shape() != &expected {
-        return Err(KernelError::ShapeMismatch(format!(
-            "output tensor is {}, convolution produces {}",
-            out.shape(),
-            expected
-        )));
-    }
-    let w_mat = weights.as_slice();
-    let pointwise = is_pointwise(attrs);
-    for ni in 0..n {
-        let start = out.shape().offset4(ni, 0, 0, 0);
-        let out_slice = &mut out.as_mut_slice()[start..start + attrs.out_channels * cols];
-        let in_start = input.shape().offset4(ni, 0, 0, 0);
-        let sample = &input.as_slice()[in_start..in_start + in_c * h * w];
-        if pointwise {
-            // The sample already is the column matrix; same path as the
-            // materializing kernel.
-            gemm(attrs.out_channels, cols, rows, 1.0, w_mat, sample, 0.0, out_slice)?;
-        } else {
-            let view = Im2colView {
-                sample,
-                channels: in_c,
-                in_h: h,
-                in_w: w,
-                kernel_h: attrs.kernel_h,
-                kernel_w: attrs.kernel_w,
-                stride: attrs.stride,
-                pad: attrs.pad,
-                out_h,
-                out_w,
-            };
-            gemm_im2col(attrs.out_channels, cols, rows, 1.0, w_mat, view, 0.0, out_slice)?;
-        }
-        apply_bias_relu(out_slice, bias, cols, fuse_relu);
-    }
-    Ok(())
+/// Whether a convolution should gather its im2col windows straight into the
+/// GEMM's B-packing rather than materialize the `rows × cols` =
+/// `(C·Kh·Kw) × (Ho·Wo)` column matrix. Gathering saves one full write +
+/// read of that matrix, which pays off once it is deep (enough reuse per
+/// input element) *and* wide (enough packed strips to amortize the
+/// per-strip window-origin setup). Measured on the serving shapes: the big
+/// stride-1 feature-map convs win ~1.25×, shallow stems lose.
+fn gather_pays_off(rows: usize, cols: usize) -> bool {
+    rows >= 64 && cols >= 512
 }
 
 fn check_bias(bias: Option<&[f32]>, attrs: &Conv2dAttrs) -> Result<()> {
@@ -226,8 +178,7 @@ fn check_bias(bias: Option<&[f32]>, attrs: &Conv2dAttrs) -> Result<()> {
 
 /// The shared convolution epilogue: per-output-channel bias add and the
 /// optional fused ReLU clamp, applied to one sample's output plane run.
-/// Both forward entry points use this same code so their results stay
-/// bit-identical.
+/// Both lowerings use this same code so their results stay bit-identical.
 fn apply_bias_relu(out_slice: &mut [f32], bias: Option<&[f32]>, cols: usize, fuse_relu: bool) {
     // Runs on the caller's thread, so resolving the ISA here honours any
     // scoped `with_isa` override. Add and clamp are bit-identical across
@@ -243,6 +194,8 @@ fn apply_bias_relu(out_slice: &mut [f32], bias: Option<&[f32]>, cols: usize, fus
     }
 }
 
+/// Validates a forward convolution and runs it under the lowering its
+/// column-matrix geometry calls for.
 fn conv2d_forward_into_impl(
     input: &Tensor,
     weights: &Tensor,
@@ -251,11 +204,9 @@ fn conv2d_forward_into_impl(
     out: &mut Tensor,
     fuse_relu: bool,
 ) -> Result<()> {
-    let (_in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
+    let (in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
     check_bias(bias, attrs)?;
-    let n = input.shape().n();
-    let (rows, cols) = col_shape(input.shape(), attrs)?;
-    let expected = Shape::nchw(n, attrs.out_channels, out_h, out_w);
+    let expected = Shape::nchw(input.shape().n(), attrs.out_channels, out_h, out_w);
     if out.shape() != &expected {
         return Err(KernelError::ShapeMismatch(format!(
             "output tensor is {}, convolution produces {}",
@@ -263,25 +214,71 @@ fn conv2d_forward_into_impl(
             expected
         )));
     }
+    let gather = gather_pays_off(in_c * attrs.kernel_h * attrs.kernel_w, out_h * out_w);
+    lower_forward(input, weights, bias, attrs, out, fuse_relu, gather)
+}
+
+/// Runs a validated forward convolution sample by sample as
+/// `out_sample = W (Cout × rows) · col (rows × cols)`, under one of two
+/// bit-identical lowerings (same microkernel, bitwise-equal packed panels,
+/// same accumulation order, same epilogue):
+///
+/// * **gather** — window elements are gathered straight from the input
+///   sample while the `KC × NR` strips of `col` are packed, so the column
+///   matrix is never written or re-read;
+/// * **materialized** — im2col expands each sample into one recycled
+///   column matrix that the GEMM then packs.
+///
+/// Pointwise convolutions take neither: the sample is the column matrix.
+fn lower_forward(
+    input: &Tensor,
+    weights: &Tensor,
+    bias: Option<&[f32]>,
+    attrs: &Conv2dAttrs,
+    out: &mut Tensor,
+    fuse_relu: bool,
+    gather: bool,
+) -> Result<()> {
+    let s = input.shape();
+    let (n, in_c, h, w) = (s.n(), s.c(), s.h(), s.w());
+    let (out_h, out_w) = (out.shape().h(), out.shape().w());
+    let (rows, cols) = (in_c * attrs.kernel_h * attrs.kernel_w, out_h * out_w);
     let w_mat = weights.as_slice(); // (Cout) x (Cin*Kh*Kw), row-major by construction
     let pointwise = is_pointwise(attrs);
-    // One recycled column matrix serves every sample (unused when pointwise).
-    let mut col = if pointwise { Vec::new() } else { COL_POOL.take_dirty(rows * cols) };
+    // One recycled column matrix serves every sample of the materialized
+    // lowering; the other paths never touch the shared pool's lock.
+    let materialize = !pointwise && !gather;
+    let mut col = if materialize { COL_POOL.take_dirty(rows * cols) } else { Vec::new() };
     for ni in 0..n {
         let start = out.shape().offset4(ni, 0, 0, 0);
         let out_slice = &mut out.as_mut_slice()[start..start + attrs.out_channels * cols];
-        // out_sample = W (Cout x rows) · col (rows x cols)
+        let in_start = s.offset4(ni, 0, 0, 0);
+        let sample = &input.as_slice()[in_start..in_start + in_c * h * w];
         if pointwise {
-            let in_start = input.shape().offset4(ni, 0, 0, 0);
-            let sample = &input.as_slice()[in_start..in_start + rows * cols];
             gemm(attrs.out_channels, cols, rows, 1.0, w_mat, sample, 0.0, out_slice)?;
+        } else if gather {
+            let view = Im2colView {
+                sample,
+                channels: in_c,
+                in_h: h,
+                in_w: w,
+                kernel_h: attrs.kernel_h,
+                kernel_w: attrs.kernel_w,
+                stride: attrs.stride,
+                pad: attrs.pad,
+                out_h,
+                out_w,
+            };
+            gemm_im2col(attrs.out_channels, cols, rows, 1.0, w_mat, view, 0.0, out_slice)?;
         } else {
             im2col_into(input, ni, attrs, &mut col)?;
             gemm(attrs.out_channels, cols, rows, 1.0, w_mat, &col, 0.0, out_slice)?;
         }
         apply_bias_relu(out_slice, bias, cols, fuse_relu);
     }
-    COL_POOL.give(col);
+    if materialize {
+        COL_POOL.give(col);
+    }
     Ok(())
 }
 
@@ -450,18 +447,37 @@ mod tests {
 
     #[test]
     fn direct_and_im2col_paths_agree() {
-        let attrs = Conv2dAttrs::new(5, 3, 2, 1);
-        let x = random(Shape::nchw(2, 4, 9, 9), 1);
-        let w = random(Shape::nchw(5, 4, 3, 3), 2);
-        let direct = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
-        let lowered = lowered(&x, &w, None, &attrs);
-        assert!(direct.all_close(&lowered, 1e-4).unwrap());
+        // A strided shallow conv takes the materialized lowering; a 32-channel
+        // 3×3 conv over a 32×32 map (rows 288, cols 1024) the gather one.
+        for (attrs, in_c, hw) in
+            [(Conv2dAttrs::new(5, 3, 2, 1), 4usize, 9usize), (Conv2dAttrs::same_3x3(8), 32, 32)]
+        {
+            let x = random(Shape::nchw(2, in_c, hw, hw), 1);
+            let w = random(Shape::nchw(attrs.out_channels, in_c, 3, 3), 2);
+            let (rows, cols) = col_shape(x.shape(), &attrs).unwrap();
+            assert_eq!(gather_pays_off(rows, cols), in_c == 32);
+            let direct = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
+            let lowered = lowered(&x, &w, None, &attrs);
+            assert!(direct.all_close(&lowered, 1e-4).unwrap(), "rows {rows} cols {cols}");
+            let mut clamped = Tensor::zeros(direct.shape().clone());
+            conv2d_forward_relu_into(&x, &w, None, &attrs, &mut clamped).unwrap();
+            let mut direct_relu = direct;
+            direct_relu.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
+            assert!(direct_relu.all_close(&clamped, 1e-4).unwrap(), "relu rows {rows} cols {cols}");
+        }
+    }
+
+    #[test]
+    fn conv_strategy_follows_geometry() {
+        assert!(gather_pays_off(288, 1024));
+        assert!(!gather_pays_off(27, 1024), "shallow stem stays materialized");
+        assert!(!gather_pays_off(288, 64), "narrow maps stay materialized");
     }
 
     #[test]
     fn gather_path_is_bit_identical_to_materialized() {
         // Strided, padded, pointwise and biased variants, with and without
-        // the fused ReLU; the gather path must match bit for bit.
+        // the fused ReLU; the two lowerings must match bit for bit.
         for (case, attrs, in_c, hw) in [
             ("same3x3", Conv2dAttrs::same_3x3(6), 4usize, 9usize),
             ("strided", Conv2dAttrs::new(5, 3, 2, 1), 4, 9),
@@ -476,26 +492,13 @@ mod tests {
             for fuse_relu in [false, true] {
                 let (_, oh, ow) = check_conv(&x, &w, &attrs).unwrap();
                 let shape = Shape::nchw(2, attrs.out_channels, oh, ow);
-                let mut reference = Tensor::zeros(shape.clone());
-                if fuse_relu {
-                    conv2d_forward_relu_into(&x, &w, bias.as_deref(), &attrs, &mut reference)
+                let bits = |gather: bool| {
+                    let mut out = Tensor::zeros(shape.clone());
+                    lower_forward(&x, &w, bias.as_deref(), &attrs, &mut out, fuse_relu, gather)
                         .unwrap();
-                } else {
-                    conv2d_forward_into(&x, &w, bias.as_deref(), &attrs, &mut reference).unwrap();
-                }
-                let mut gathered = Tensor::zeros(shape);
-                conv2d_forward_gather_into(
-                    &x,
-                    &w,
-                    bias.as_deref(),
-                    &attrs,
-                    fuse_relu,
-                    &mut gathered,
-                )
-                .unwrap();
-                let ref_bits: Vec<u32> = reference.as_slice().iter().map(|v| v.to_bits()).collect();
-                let got_bits: Vec<u32> = gathered.as_slice().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got_bits, ref_bits, "{case} relu={fuse_relu}");
+                    out.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+                };
+                assert_eq!(bits(true), bits(false), "{case} relu={fuse_relu}");
             }
         }
     }

@@ -198,6 +198,7 @@ mod tests {
     use super::*;
     use crate::batchnorm::{bn_normalize_into, bn_statistics, BnForwardState};
     use crate::concat::{concat_forward_into, concat_output_shape};
+    use crate::conv::conv2d_forward_direct;
     use crate::relu::relu_forward_into;
     use bnff_tensor::init::Initializer;
     use bnff_tensor::Shape;
@@ -251,26 +252,41 @@ mod tests {
 
     #[test]
     fn norm_relu_conv_matches_unfused_pipeline() {
-        let attrs = Conv2dAttrs::same_3x3(4);
-        let raw = random(Shape::nchw(4, 3, 6, 6), 5);
-        let w = random(Shape::nchw(4, 3, 3, 3), 6);
-        let bn = BnParams::new(vec![1.2, 0.8, 1.0], vec![0.1, -0.1, 0.0]).unwrap();
-        let eps = 1e-5;
+        // The second geometry (rows 288, cols 1024) takes the convolution's
+        // gather lowering, the first the materialized one.
+        for (attrs, n, c, hw) in
+            [(Conv2dAttrs::same_3x3(4), 4, 3, 6), (Conv2dAttrs::same_3x3(8), 2, 32, 32)]
+        {
+            let raw = random(Shape::nchw(n, c, hw, hw), 5);
+            let w = random(Shape::nchw(attrs.out_channels, c, 3, 3), 6);
+            let gamma = (0..c).map(|i| [1.2, 0.8, 1.0][i % 3]).collect();
+            let beta = (0..c).map(|i| [0.1, -0.1, 0.0][i % 3]).collect();
+            let bn = BnParams::new(gamma, beta).unwrap();
+            let eps = 1e-5;
 
-        // Unfused: BN forward -> ReLU -> conv.
-        let (bn_out, bn_state) = bn_train(&raw, &bn, eps);
-        let relu_out = relu(&bn_out);
-        let unfused_out = conv(&relu_out, &w, &attrs);
+            // Unfused: BN forward -> ReLU -> direct conv.
+            let (bn_out, bn_state) = bn_train(&raw, &bn, eps);
+            let relu_out = relu(&bn_out);
+            let unfused_out = conv2d_forward_direct(&relu_out, &w, None, &attrs).unwrap();
 
-        let stats = bn_statistics(&raw, false).unwrap();
-        let mut fused_out = Tensor::zeros(unfused_out.shape().clone());
-        let state =
-            norm_relu_conv_forward_into(&raw, &stats, &bn, eps, &w, None, &attrs, &mut fused_out)
-                .unwrap();
+            let stats = bn_statistics(&raw, false).unwrap();
+            let mut fused_out = Tensor::zeros(unfused_out.shape().clone());
+            let state = norm_relu_conv_forward_into(
+                &raw,
+                &stats,
+                &bn,
+                eps,
+                &w,
+                None,
+                &attrs,
+                &mut fused_out,
+            )
+            .unwrap();
 
-        assert!(fused_out.all_close(&unfused_out, 1e-4).unwrap());
-        assert!(state.x_hat.all_close(&bn_state.x_hat, 1e-4).unwrap());
-        assert!(state.conv_input.all_close(&relu_out, 1e-4).unwrap());
+            assert!(fused_out.all_close(&unfused_out, 1e-4).unwrap(), "{c} channels");
+            assert!(state.x_hat.all_close(&bn_state.x_hat, 1e-4).unwrap());
+            assert!(state.conv_input.all_close(&relu_out, 1e-4).unwrap());
+        }
     }
 
     #[test]

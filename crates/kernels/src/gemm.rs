@@ -46,10 +46,6 @@
 //! path*, which `crates/kernels/tests/parallel_determinism.rs` locks in.
 //! Across paths the last bits may differ (FMA contracts `a·b + c` into one
 //! rounding); `crates/kernels/tests/simd_equivalence.rs` bounds the gap.
-//!
-//! The pre-blocking row-streaming implementation is kept as
-//! [`gemm_streaming`] so the benches (and `BENCH_ci.json`) can report the
-//! blocked/streaming speedup on every run.
 
 use crate::error::KernelError;
 use crate::Result;
@@ -78,11 +74,6 @@ pub const KC: usize = 256;
 /// Columns of `B` packed per slab: a `KC × NC` packed slab (1 MiB) stays
 /// LLC-resident while every row block of the output sweeps it.
 pub const NC: usize = 1024;
-
-/// Tile edge of the legacy row-streaming kernel ([`gemm_streaming`]); also
-/// the working-set parameter `bnff-memsim` uses to model the pre-blocking
-/// access pattern.
-pub const STREAM_TILE: usize = 48;
 
 /// Packing scratch recycled across GEMM calls (and training steps). The
 /// bound comfortably covers one `KC × NC` packed `B` slab plus one packed
@@ -583,61 +574,6 @@ pub fn gemm_im2col(
     Ok(())
 }
 
-/// The pre-blocking implementation: row blocks stream `b` straight from the
-/// source matrix with a [`STREAM_TILE`]-edge loop tiling and no packing.
-/// Kept (unchanged) as the perf baseline the benches and `BENCH_ci.json`
-/// compare the packed engine against.
-///
-/// # Errors
-/// Returns [`KernelError::ShapeMismatch`] when the slice lengths do not
-/// match the given dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_streaming(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) -> Result<()> {
-    check_len(a.len(), m, k, "a")?;
-    check_len(b.len(), k, n, "b")?;
-    check_len(c.len(), m, n, "c")?;
-    parallel_rows_mut(c, n, min_items_per_thread(n.saturating_mul(k)), |first_row, c_block| {
-        if beta != 1.0 {
-            for v in c_block.iter_mut() {
-                *v *= beta;
-            }
-        }
-        let rows = c_block.len() / n;
-        for i0 in (0..rows).step_by(STREAM_TILE) {
-            let i_max = (i0 + STREAM_TILE).min(rows);
-            for k0 in (0..k).step_by(STREAM_TILE) {
-                let k_max = (k0 + STREAM_TILE).min(k);
-                for j0 in (0..n).step_by(STREAM_TILE) {
-                    let j_max = (j0 + STREAM_TILE).min(n);
-                    for i in i0..i_max {
-                        for kk in k0..k_max {
-                            let aik = alpha * a[(first_row + i) * k + kk];
-                            if aik == 0.0 {
-                                continue;
-                            }
-                            let brow = &b[kk * n + j0..kk * n + j_max];
-                            let crow = &mut c_block[i * n + j0..i * n + j_max];
-                            for (cv, bv) in crow.iter_mut().zip(brow.iter()) {
-                                *cv += aik * *bv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,7 +591,7 @@ mod tests {
     }
 
     /// The exported blocking constants are a public contract: `bnff-memsim`
-    /// imports `KC`/`NC`/`STREAM_TILE` to model the engines' DRAM traffic,
+    /// imports `KC`/`NC` to model the engine's DRAM traffic,
     /// and the packed core assumes the relations below. Locking them here
     /// means a future retune cannot silently break either consumer.
     #[test]
@@ -669,9 +605,6 @@ mod tests {
         // Every packed B strip starts 32-byte aligned within an aligned
         // buffer: kc·NR f32 is a whole number of 32-byte lanes for any kc.
         assert_eq!((NR * std::mem::size_of::<f32>()) % 32, 0);
-        // The streaming model's tile must stay meaningful: nonzero, and no
-        // larger than the cache-blocked panel height it predates.
-        const { assert!(STREAM_TILE > 0 && STREAM_TILE <= MC) };
     }
 
     #[test]
@@ -738,7 +671,6 @@ mod tests {
         let b = vec![0.0; 6];
         let mut c = vec![0.0; 4];
         assert!(gemm(2, 2, 3, 1.0, &a, &b, 0.0, &mut c).is_err());
-        assert!(gemm_streaming(2, 2, 3, 1.0, &a, &b, 0.0, &mut c).is_err());
     }
 
     #[test]
@@ -789,20 +721,6 @@ mod tests {
         gemm_tn(m, n, k, &at, &b, &mut c2).unwrap();
         for (x, y) in c2.iter().zip(reference.iter()) {
             assert!((x - y).abs() < 1e-2, "tn: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn streaming_reference_matches_packed() {
-        let (m, n, k) = (37, 53, 29);
-        let a: Vec<f32> = (0..m * k).map(|i| ((i * 31 % 17) as f32 - 8.0) * 0.125).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 23 % 19) as f32 - 9.0) * 0.25).collect();
-        let mut packed = vec![0.25; m * n];
-        let mut streamed = vec![0.25; m * n];
-        gemm(m, n, k, 1.5, &a, &b, 2.0, &mut packed).unwrap();
-        gemm_streaming(m, n, k, 1.5, &a, &b, 2.0, &mut streamed).unwrap();
-        for (x, y) in packed.iter().zip(streamed.iter()) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
     }
 

@@ -57,7 +57,6 @@ pub mod affine;
 pub mod batchnorm;
 pub mod concat;
 pub mod conv;
-pub mod dispatch;
 pub mod eltwise;
 pub mod error;
 pub mod fc;
@@ -67,6 +66,7 @@ pub mod im2col;
 pub mod pool;
 pub mod relu;
 pub mod softmax;
+pub mod tape;
 mod vecops;
 
 pub use error::KernelError;

@@ -4,7 +4,7 @@
 //! variants must agree with a naive triple-loop reference, including the
 //! degenerate 1×1 and `K = 0` cases.
 
-use bnff_kernels::gemm::{gemm, gemm_nt, gemm_streaming, gemm_tn, KC, MC, MR, NR};
+use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn, KC, MC, MR, NR};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random data in `[-0.5, 0.5)` from a shape seed, so
@@ -84,13 +84,9 @@ proptest! {
             .zip(c0.iter())
             .map(|(ab, c)| alpha * ab + beta * c)
             .collect();
-        let mut c = c0.clone();
+        let mut c = c0;
         gemm(m, n, k, alpha, &a, &b, beta, &mut c).unwrap();
         assert_close("gemm(alpha,beta)", m, n, k, &c, &want);
-        // The retired streaming engine must satisfy the same contract.
-        let mut c_stream = c0;
-        gemm_streaming(m, n, k, alpha, &a, &b, beta, &mut c_stream).unwrap();
-        assert_close("gemm_streaming", m, n, k, &c_stream, &want);
     }
 
     #[test]

@@ -271,7 +271,7 @@ fn fused_kernels_match_serial() {
 /// path and, where the hardware allows, the AVX2+FMA path.
 #[test]
 fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
-    use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
+    use bnff_tensor::{active_isa, with_isa, SimdIsa};
 
     let x = random(Shape::nchw(3, 5, 9, 9), 41);
     let w = random(Shape::nchw(6, 5, 3, 3), 42);

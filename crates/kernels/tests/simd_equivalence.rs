@@ -18,7 +18,6 @@
 use bnff_graph::op::Conv2dAttrs;
 use bnff_kernels::batchnorm::{bn_normalize_into, bn_statistics, BnParams};
 use bnff_kernels::conv::conv2d_forward_relu_into;
-use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
 use bnff_kernels::fused::norm_relu_conv_forward_into;
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn, KC, MC, MR, NR};
@@ -26,7 +25,7 @@ use bnff_kernels::relu::relu_forward_into;
 use bnff_kernels::{affine, fc};
 use bnff_tensor::init::Initializer;
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass};
-use bnff_tensor::{Shape, Tensor};
+use bnff_tensor::{active_isa, with_isa, Shape, SimdIsa, Tensor};
 use proptest::prelude::*;
 
 /// The vector path under test: the detected ISA when a scoped request for

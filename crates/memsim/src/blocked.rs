@@ -4,9 +4,10 @@
 //! operand as if it streamed from DRAM exactly once — which is only true of
 //! a kernel whose working set actually fits on chip. This module models the
 //! access pattern of the two GEMM engines the `bnff-kernels` crate has
-//! shipped, using the kernels' own blocking parameters
-//! ([`bnff_kernels::gemm::MC`], [`bnff_kernels::gemm::KC`],
-//! [`bnff_kernels::gemm::NC`] and [`bnff_kernels::gemm::STREAM_TILE`]):
+//! shipped, using the packed engine's own blocking parameters
+//! ([`bnff_kernels::gemm::MC`], [`bnff_kernels::gemm::KC`] and
+//! [`bnff_kernels::gemm::NC`]) and the retired streaming engine's tile edge
+//! (`STREAM_TILE`):
 //!
 //! * **Blocked (packed) engine** — each `KC × NC` slab of `B` is packed once
 //!   and reused by every row block, so `B` streams from DRAM once; `A` is
@@ -15,7 +16,7 @@
 //!   panels are *tile-sized by construction*, so these counts hold however
 //!   large the matrices are.
 //! * **Legacy streaming engine** — loop tiling without packing: every
-//!   [`STREAM_TILE`]-row block of `C`
+//!   `STREAM_TILE`-row block of `C`
 //!   re-sweeps `B`, every column tile re-reads `A`, and `C` is updated per
 //!   `k` tile. Reuse beyond one tile exists only if the *whole operand*
 //!   happens to be cache-resident.
@@ -26,14 +27,20 @@
 //! [`IterationReport`](crate::report::IterationReport) so fig7-style
 //! reports show what the blocked engine saves over whole-matrix streaming.
 //!
-//! The constants are imported from `bnff-kernels` — never re-derived here —
-//! so a microkernel retune (such as the 6×16 SIMD widening) flows into the
-//! model automatically; the kernels crate pins the relations this model
-//! depends on in its `blocking_constants_hold_their_invariants` test.
+//! The packed engine's constants are imported from `bnff-kernels` — never
+//! re-derived here — so a microkernel retune (such as the 6×16 SIMD
+//! widening) flows into the model automatically; the kernels crate pins the
+//! relations this model depends on in its
+//! `blocking_constants_hold_their_invariants` test.
 
 use crate::cache::CacheModel;
 use bnff_graph::analysis::GemmShape;
-use bnff_kernels::gemm::{KC, NC, STREAM_TILE};
+use bnff_kernels::gemm::{KC, NC};
+
+/// Tile edge of the legacy row-streaming GEMM (loop tiling, no packing)
+/// that preceded the packed engine; the model keeps it to show what
+/// blocking saves.
+const STREAM_TILE: usize = 48;
 
 /// Bytes of an `r × c` f32 matrix.
 fn bytes(r: usize, c: usize) -> f64 {

@@ -6,11 +6,12 @@
 //! once, at construction, into a
 //! [`LinearProgram`]: a flat instruction tape in topological order whose
 //! instructions carry fully-resolved kernel recipes (op kind, shapes,
-//! fused-ReLU flag, conv lowering strategy) and pre-resolved register
-//! operands. [`FrozenExecutor::infer`] is a tape walker — `for instr in
-//! program` dispatching straight into the `*_into` kernels with
-//! pre-bound parameter handles; no dispatch decision survives to request
-//! time.
+//! fused-ReLU flag) and pre-resolved register operands.
+//! [`FrozenExecutor::infer`] is a tape walker — `for instr in program`
+//! handing each instruction and its pre-bound parameter handle to the
+//! forward dispatch the training executor shares
+//! ([`bnff_kernels::tape::exec_instr`]); no parameter lookup survives to
+//! request time.
 //!
 //! Kernels are the same `bnff-kernels` entry points the trainer uses, so
 //! inference saturates `BNFF_THREADS` cores with thread-count-identical
@@ -33,24 +34,10 @@
 use crate::error::ServeError;
 use crate::params::{FrozenParamSet, FrozenParams};
 use crate::Result;
-use bnff_graph::linear::{Instr, Kernel, LinearProgram};
-use bnff_graph::op::PoolKind;
+use bnff_graph::linear::{Kernel, LinearProgram};
 use bnff_graph::plan::ExecutionPlan;
 use bnff_graph::{Graph, NodeId};
-use bnff_kernels::affine::{
-    channel_affine_in_place, channel_affine_into, channel_affine_relu_in_place,
-    channel_affine_relu_into,
-};
-use bnff_kernels::concat::concat_forward_into;
-use bnff_kernels::conv::{
-    conv2d_forward_gather_into, conv2d_forward_into, conv2d_forward_relu_into,
-};
-use bnff_kernels::eltwise::eltwise_sum_forward_into;
-use bnff_kernels::fc::fc_forward_into;
-use bnff_kernels::pool::{
-    avg_pool_forward_into, global_avg_pool_forward_into, max_pool_forward_into,
-};
-use bnff_kernels::relu::{relu_forward_inplace, relu_forward_into};
+use bnff_kernels::tape::{exec_instr, TapeParams};
 use bnff_obs::OpProfiler;
 use bnff_parallel::with_threads;
 use bnff_tensor::{Shape, Tensor};
@@ -122,16 +109,6 @@ impl FrozenExecutor {
     /// never changes results — it only reads the clock around kernels.
     pub fn enable_profiling(&self, on: bool) {
         self.profiler.set_enabled(on);
-    }
-
-    /// Whether per-instruction timing is currently on.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profiler.enabled()
-    }
-
-    /// Zeroes the accumulated per-instruction timings.
-    pub fn reset_profile(&self) {
-        self.profiler.reset();
     }
 
     /// The accumulated per-instruction timings, one row per tape
@@ -216,12 +193,12 @@ impl FrozenExecutor {
         if self.profiler.enabled() {
             for (i, (instr, params)) in self.program.instrs().iter().zip(&self.bound).enumerate() {
                 let began = Instant::now();
-                exec_instr(&mut regs, instr, params.as_deref())?;
+                exec_instr(&mut regs, instr, tape_params(params.as_deref()))?;
                 self.profiler.record(i, began.elapsed().as_nanos() as u64);
             }
         } else {
             for (instr, params) in self.program.instrs().iter().zip(&self.bound) {
-                exec_instr(&mut regs, instr, params.as_deref())?;
+                exec_instr(&mut regs, instr, tape_params(params.as_deref()))?;
             }
         }
         regs[self.program.output_reg()]
@@ -272,115 +249,16 @@ fn bind_params(
         .collect()
 }
 
-fn reg_ref<'a>(regs: &'a [Option<Tensor>], instr: &Instr, idx: usize) -> Result<&'a Tensor> {
-    regs[instr.inputs[idx]].as_ref().ok_or_else(|| {
-        ServeError::InvalidArgument(format!(
-            "register {} read by '{}' is empty",
-            instr.inputs[idx], instr.name
-        ))
-    })
-}
-
-/// Executes one instruction against the register file.
-fn exec_instr(
-    regs: &mut [Option<Tensor>],
-    instr: &Instr,
-    params: Option<&FrozenParams>,
-) -> Result<()> {
-    // The in-place pointwise kernels: the planner recycled the input's
-    // register for the output (it proved the input dead), so the kernel
-    // sweeps the buffer once in place.
-    if instr.inputs.first() == Some(&instr.out) {
-        let mut buf = regs[instr.out].take().ok_or_else(|| {
-            ServeError::InvalidArgument(format!(
-                "register {} read by '{}' is empty",
-                instr.out, instr.name
-            ))
-        })?;
-        match (&instr.kernel, params) {
-            (Kernel::Affine { fused_relu }, Some(FrozenParams::Affine { scale, shift })) => {
-                if *fused_relu {
-                    channel_affine_relu_in_place(&mut buf, scale, shift)?;
-                } else {
-                    channel_affine_in_place(&mut buf, scale, shift)?;
-                }
-            }
-            (Kernel::Relu, _) => relu_forward_inplace(&mut buf),
-            _ => {
-                return Err(ServeError::InvalidArgument(format!(
-                    "instruction '{}' runs in place but is not pointwise",
-                    instr.name
-                )))
-            }
+/// Borrows a bound parameter handle as the shared dispatch's view.
+fn tape_params(params: Option<&FrozenParams>) -> TapeParams<'_> {
+    match params {
+        None => TapeParams::None,
+        Some(FrozenParams::Conv { weights, bias }) => {
+            TapeParams::Conv { weights, bias: bias.as_deref() }
         }
-        regs[instr.out] = Some(buf);
-        return Ok(());
+        Some(FrozenParams::Affine { scale, shift }) => TapeParams::Affine { scale, shift },
+        Some(FrozenParams::Fc { weights, bias }) => TapeParams::Fc { weights, bias },
     }
-    let mut out = instr.take_output(regs);
-    match (&instr.kernel, params) {
-        (
-            Kernel::Conv { attrs, fused_relu, gather },
-            Some(FrozenParams::Conv { weights, bias }),
-        ) => {
-            let x = reg_ref(regs, instr, 0)?;
-            if *gather {
-                conv2d_forward_gather_into(
-                    x,
-                    weights,
-                    bias.as_deref(),
-                    attrs,
-                    *fused_relu,
-                    &mut out,
-                )?;
-            } else if *fused_relu {
-                conv2d_forward_relu_into(x, weights, bias.as_deref(), attrs, &mut out)?;
-            } else {
-                conv2d_forward_into(x, weights, bias.as_deref(), attrs, &mut out)?;
-            }
-        }
-        (Kernel::Affine { fused_relu }, Some(FrozenParams::Affine { scale, shift })) => {
-            let x = reg_ref(regs, instr, 0)?;
-            if *fused_relu {
-                channel_affine_relu_into(x, scale, shift, &mut out)?;
-            } else {
-                channel_affine_into(x, scale, shift, &mut out)?;
-            }
-        }
-        (Kernel::Relu, _) => {
-            relu_forward_into(reg_ref(regs, instr, 0)?, &mut out)?;
-        }
-        (Kernel::Pool { kind, attrs }, _) => {
-            let x = reg_ref(regs, instr, 0)?;
-            match kind {
-                PoolKind::Max => max_pool_forward_into(x, attrs, &mut out)?,
-                PoolKind::Average => avg_pool_forward_into(x, attrs, &mut out)?,
-            }
-        }
-        (Kernel::GlobalAvgPool, _) => {
-            global_avg_pool_forward_into(reg_ref(regs, instr, 0)?, &mut out)?;
-        }
-        (Kernel::Concat, _) => {
-            let refs: Vec<&Tensor> =
-                (0..instr.inputs.len()).map(|i| reg_ref(regs, instr, i)).collect::<Result<_>>()?;
-            concat_forward_into(&refs, &mut out)?;
-        }
-        (Kernel::EltwiseSum, _) => {
-            let refs: Vec<&Tensor> =
-                (0..instr.inputs.len()).map(|i| reg_ref(regs, instr, i)).collect::<Result<_>>()?;
-            eltwise_sum_forward_into(&refs, &mut out)?;
-        }
-        (Kernel::FullyConnected, Some(FrozenParams::Fc { weights, bias })) => {
-            fc_forward_into(reg_ref(regs, instr, 0)?, weights, bias, &mut out)?;
-        }
-        _ => {
-            return Err(ServeError::InvalidArgument(format!(
-                "instruction '{}' has no parameters bound for its kernel",
-                instr.name
-            )))
-        }
-    }
-    regs[instr.out] = Some(out);
-    Ok(())
 }
 
 #[cfg(test)]

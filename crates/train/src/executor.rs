@@ -34,23 +34,21 @@ use bnff_kernels::batchnorm::{
 };
 use bnff_kernels::concat::{concat_backward, concat_forward_into};
 use bnff_kernels::conv::{
-    conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward_gather_into,
-    conv2d_forward_into,
+    conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward_into,
 };
-use bnff_kernels::eltwise::eltwise_sum_forward_into;
-use bnff_kernels::fc::{fc_backward, fc_forward_into};
+use bnff_kernels::fc::fc_backward;
 use bnff_kernels::fused::{
     concat_forward_with_stats_into, conv2d_forward_with_stats_into, norm_relu_conv_backward,
     norm_relu_conv_forward_into, NormReluConvState,
 };
 use bnff_kernels::pool::{
-    avg_pool_backward, avg_pool_forward_into, global_avg_pool_backward,
-    global_avg_pool_forward_into, max_pool_backward, max_pool_forward, MaxPoolState,
+    avg_pool_backward, global_avg_pool_backward, max_pool_backward, max_pool_forward, MaxPoolState,
 };
 use bnff_kernels::relu::{relu_backward, relu_forward_inplace, relu_forward_into};
 use bnff_kernels::softmax::{
     accuracy, softmax_loss_backward, softmax_loss_forward, SoftmaxLossState,
 };
+use bnff_kernels::tape::{exec_instr, operand, operands, TapeParams};
 use bnff_tensor::pool::BufferPool;
 use bnff_tensor::stats::ChannelStats;
 use bnff_tensor::{ops, Tensor};
@@ -335,6 +333,31 @@ impl Executor {
         }
     }
 
+    /// The parameters the shared forward dispatch reads for a
+    /// non-training instruction. The inference-only recipes (a standalone
+    /// affine, a ReLU-fused convolution) come from frozen graphs, which run
+    /// on the serving executor.
+    fn tape_params(&self, instr: &Instr) -> Result<TapeParams<'_>> {
+        Ok(match &instr.kernel {
+            Kernel::Conv { fused_relu: false, .. } => {
+                let (weights, bias) = self.conv_params(instr)?;
+                TapeParams::Conv { weights, bias }
+            }
+            Kernel::FullyConnected => {
+                let (weights, bias) = self.fc_params(instr)?;
+                TapeParams::Fc { weights, bias }
+            }
+            Kernel::Affine { .. } | Kernel::Conv { .. } => {
+                return Err(TrainError::Unsupported(format!(
+                    "'{}' is an inference-only operator; run frozen graphs on the \
+                     bnff-serve executor",
+                    instr.name
+                )))
+            }
+            _ => TapeParams::None,
+        })
+    }
+
     /// Runs the training forward pass on a mini-batch: every normalization
     /// uses the mini-batch's statistics.
     ///
@@ -384,39 +407,25 @@ impl Executor {
 
         for instr in program.instrs() {
             let id = instr.node;
-            let mut out = instr.take_output(regs);
-            match &instr.kernel {
-                Kernel::Conv { attrs, fused_relu: false, gather } => {
-                    let x = reg_ref(regs, instr, 0)?;
-                    let (w, b) = self.conv_params(instr)?;
-                    if *gather {
-                        conv2d_forward_gather_into(x, w, b, attrs, false, &mut out)?;
-                    } else {
-                        conv2d_forward_into(x, w, b, attrs, &mut out)?;
-                    }
-                }
-                Kernel::Relu => relu_forward_into(reg_ref(regs, instr, 0)?, &mut out)?,
+            let op = match &instr.kernel {
+                Kernel::Train(op) => op,
                 Kernel::Pool { kind: PoolKind::Max, attrs } => {
                     // The state keeps only shape + argmax, so the pooled
                     // output is owned once by the register file.
-                    let (y, state) = max_pool_forward(reg_ref(regs, instr, 0)?, attrs)?;
-                    out = y;
+                    let (y, state) = max_pool_forward(operand(regs, instr, 0)?, attrs)?;
                     states[id.index()] = Some(NodeState::MaxPool(state));
+                    regs[instr.out] = Some(y);
+                    continue;
                 }
-                Kernel::Pool { kind: PoolKind::Average, attrs } => {
-                    avg_pool_forward_into(reg_ref(regs, instr, 0)?, attrs, &mut out)?;
+                _ => {
+                    exec_instr(regs, instr, self.tape_params(instr)?)?;
+                    continue;
                 }
-                Kernel::GlobalAvgPool => {
-                    global_avg_pool_forward_into(reg_ref(regs, instr, 0)?, &mut out)?;
-                }
-                Kernel::Concat => concat_forward_into(&reg_refs(regs, instr)?, &mut out)?,
-                Kernel::EltwiseSum => eltwise_sum_forward_into(&reg_refs(regs, instr)?, &mut out)?,
-                Kernel::FullyConnected => {
-                    let (w, b) = self.fc_params(instr)?;
-                    fc_forward_into(reg_ref(regs, instr, 0)?, w, b, &mut out)?;
-                }
-                Kernel::Train(OpKind::ConvStats { conv: a, .. }) => {
-                    let x = reg_ref(regs, instr, 0)?;
+            };
+            let mut out = instr.take_output(regs);
+            match op {
+                OpKind::ConvStats { conv: a, .. } => {
+                    let x = operand(regs, instr, 0)?;
                     let (w, b) = self.conv_params(instr)?;
                     let s = match mode {
                         StatsMode::Batch => conv2d_forward_with_stats_into(x, w, b, a, &mut out)?,
@@ -430,8 +439,8 @@ impl Executor {
                     };
                     stats[id.index()] = Some(s);
                 }
-                Kernel::Train(OpKind::ReluConv(a)) => {
-                    let x = reg_ref(regs, instr, 0)?;
+                OpKind::ReluConv(a) => {
+                    let x = operand(regs, instr, 0)?;
                     let (w, b) = self.conv_params(instr)?;
                     // The clipped activation is computed once: it feeds the
                     // convolution and is then moved into the node state for
@@ -441,8 +450,8 @@ impl Executor {
                     conv2d_forward_into(&clipped, w, b, a, &mut out)?;
                     states[id.index()] = Some(NodeState::ClippedInput(clipped));
                 }
-                Kernel::Train(OpKind::BatchNorm(attrs)) => {
-                    let x = reg_ref(regs, instr, 0)?;
+                OpKind::BatchNorm(attrs) => {
+                    let x = operand(regs, instr, 0)?;
                     let s = match mode {
                         StatsMode::Batch => bn_statistics(x, attrs.one_pass_stats)?,
                         StatsMode::Running => self.running_channel_stats(id)?,
@@ -452,10 +461,10 @@ impl Executor {
                         bn_normalize_into(x, &s, self.bn_params(instr)?, attrs.epsilon, &mut out)?;
                     states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
                 }
-                Kernel::Train(OpKind::SubBnStats(attrs)) => {
+                OpKind::SubBnStats(attrs) => {
                     let s = match mode {
                         StatsMode::Batch => {
-                            bn_statistics(reg_ref(regs, instr, 0)?, attrs.one_pass_stats)?
+                            bn_statistics(operand(regs, instr, 0)?, attrs.one_pass_stats)?
                         }
                         StatsMode::Running => self.running_channel_stats(id)?,
                     };
@@ -465,12 +474,12 @@ impl Executor {
                     var.copy_from_slice(&s.var);
                     stats[id.index()] = Some(s);
                 }
-                Kernel::Train(OpKind::SubBnNorm(attrs) | OpKind::NormRelu(attrs)) => {
-                    let x = reg_ref(regs, instr, 0)?;
+                OpKind::SubBnNorm(attrs) | OpKind::NormRelu(attrs) => {
+                    let x = operand(regs, instr, 0)?;
                     let s = operand_stats(&stats, instr)?;
                     let x_hat =
                         bn_normalize_into(x, &s, self.bn_params(instr)?, attrs.epsilon, &mut out)?;
-                    if matches!(instr.kernel, Kernel::Train(OpKind::NormRelu(_))) {
+                    if matches!(op, OpKind::NormRelu(_)) {
                         // The output is saved as the backward ReLU mask;
                         // clip in place instead of materializing a separate
                         // post-ReLU copy.
@@ -478,11 +487,9 @@ impl Executor {
                     }
                     states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
                 }
-                Kernel::Train(
-                    op @ (OpKind::NormReluConv { conv: a, bn: attrs }
-                    | OpKind::NormReluConvStats { conv: a, bn_in: attrs, .. }),
-                ) => {
-                    let raw = reg_ref(regs, instr, 0)?;
+                OpKind::NormReluConv { conv: a, bn: attrs }
+                | OpKind::NormReluConvStats { conv: a, bn_in: attrs, .. } => {
+                    let raw = operand(regs, instr, 0)?;
                     let s = operand_stats(&stats, instr)?;
                     let (w, b) = self.conv_params(instr)?;
                     let bn_p = self.bn_params(instr)?;
@@ -504,8 +511,8 @@ impl Executor {
                     }
                     states[id.index()] = Some(NodeState::NormReluConv(state));
                 }
-                Kernel::Train(OpKind::ConcatStats(_)) => {
-                    let refs = reg_refs(regs, instr)?;
+                OpKind::ConcatStats(_) => {
+                    let refs = operands(regs, instr)?;
                     let s = match mode {
                         StatsMode::Batch => concat_forward_with_stats_into(&refs, &mut out)?,
                         StatsMode::Running => {
@@ -515,8 +522,8 @@ impl Executor {
                     };
                     stats[id.index()] = Some(s);
                 }
-                Kernel::Train(OpKind::SoftmaxLoss) => {
-                    let x = reg_ref(regs, instr, 0)?;
+                OpKind::SoftmaxLoss => {
+                    let x = operand(regs, instr, 0)?;
                     let state = softmax_loss_forward(x, labels)?;
                     loss = state.loss;
                     scores = Some(x.clone());
@@ -525,8 +532,7 @@ impl Executor {
                 }
                 _ => {
                     return Err(TrainError::Unsupported(format!(
-                        "'{}' is an inference-only operator; run frozen graphs on the \
-                         bnff-serve executor",
+                        "'{}': operator {op} has no training kernel",
                         instr.name
                     )));
                 }
@@ -736,18 +742,6 @@ impl Executor {
     }
 }
 
-/// Borrows the value in an instruction's `idx`-th input register.
-fn reg_ref<'a>(regs: &'a [Option<Tensor>], instr: &Instr, idx: usize) -> Result<&'a Tensor> {
-    regs[instr.inputs[idx]].as_ref().ok_or_else(|| {
-        TrainError::Missing(format!("register {} read by '{}'", instr.inputs[idx], instr.name))
-    })
-}
-
-/// Borrows the values in all of an instruction's input registers.
-fn reg_refs<'a>(regs: &'a [Option<Tensor>], instr: &Instr) -> Result<Vec<&'a Tensor>> {
-    (0..instr.inputs.len()).map(|i| reg_ref(regs, instr, i)).collect()
-}
-
 /// The statistics an instruction's second operand (a statistics-bearing
 /// node) produced earlier in the pass.
 fn operand_stats(stats: &[Option<ChannelStats>], instr: &Instr) -> Result<ChannelStats> {
@@ -894,6 +888,24 @@ mod tests {
             let checked = step(&exec, 20);
             assert!(checked.0.loss.is_finite());
             assert_step_bit_identical(checked, step(&fresh, 20));
+        }
+    }
+
+    #[test]
+    fn inference_only_recipes_are_unsupported() {
+        // A standalone affine and a ReLU-fused conv only come out of the
+        // freeze pass; the training tape refuses to run them.
+        let find = |g: &Graph, name: &str| g.nodes().find(|n| n.name == name).unwrap().id;
+        let mut affine = tiny_classifier(4);
+        affine.set_op(find(&affine, "relu1"), OpKind::ChannelAffine).unwrap();
+        let mut conv_relu = tiny_classifier(4);
+        let conv2 = find(&conv_relu, "conv2");
+        conv_relu.set_op(conv2, OpKind::ConvRelu(Conv2dAttrs::pointwise(8))).unwrap();
+        let (data, labels) = random_batch(4, 4, 23);
+        for graph in [affine, conv_relu] {
+            let exec = Executor::new(graph, 24).unwrap();
+            let err = exec.forward(&data, &labels);
+            assert!(matches!(err, Err(TrainError::Unsupported(_))), "{err:?}");
         }
     }
 

@@ -86,7 +86,7 @@ fn saturate(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Record which SIMD path the kernels execute, so saved load-harness
     // numbers are attributable to a dispatch decision.
-    println!("simd dispatch: {}", bnff::kernels::dispatch::active_isa());
+    println!("simd dispatch: {}", bnff::tensor::active_isa());
     let batch = 8;
     let classes = 5;
     let steps = env_usize("BNFF_SERVE_TRAIN_STEPS", 5);
